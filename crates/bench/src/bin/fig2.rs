@@ -5,10 +5,12 @@
 //! points per process, random queries, y-axis = time(simple) / time(Alg 2),
 //! x-axis = ℓ. The ratio grows with ℓ and with k (80× at k = 128).
 //!
-//! Our substitution (DESIGN.md §6): the threaded engine runs one OS thread
-//! per machine with a synthetic per-round latency. On a host with fewer
-//! cores than simulated machines the *local-computation* part of the
-//! speedup saturates at the core count, so alongside the wall-clock ratio
+//! Our substitution for the cluster: the event engine schedules the
+//! machines on a worker pool sized from the host, and a synthetic
+//! per-round latency delays every transport, so each simulated round costs
+//! at least that much wall clock. On a host with fewer cores than
+//! simulated machines the *local-computation* part of the speedup
+//! saturates at the core count, so alongside the wall-clock ratio
 //! we report the hardware-independent **round ratio** from the exact
 //! engine — the paper's own explanation of the effect ("the number of
 //! rounds does not depend on the number of machines … the speed up
@@ -84,7 +86,7 @@ fn main() {
             for (rep, q) in queries.iter().enumerate() {
                 for (slot, algo) in [Algorithm::Simple, Algorithm::Knn].into_iter().enumerate() {
                     let opts = QueryOptions {
-                        engine: Engine::Threaded,
+                        engine: Engine::Event,
                         seed: seed.wrapping_add(rep as u64),
                         round_latency: latency,
                         ..Default::default()

@@ -15,20 +15,20 @@
 //!    cannot buy parallelism the kernel doesn't offer, and a 1-CPU runner
 //!    must not assert impossible parallelism).
 //! 2. **Engine × delivery-mode loop rounds/sec + allocations.** A
-//!    bandwidth-bound all-pairs streaming protocol is pushed through all
-//!    three engines — sync, threaded (k OS threads, 3 barriers/round), and
-//!    event (per-link dependency scheduling on a worker pool, one row per
-//!    `--pools` entry) — with the event engine measured under **both
-//!    delivery modes** (exact lockstep-equivalent delivery, and relaxed
-//!    PANDA-style quiescence promises). Each row reports simulated rounds
-//!    per second (best of `ENGINE_REPS` repetitions) and — via a counting
-//!    global allocator — heap allocations per round. Asserted: the event
+//!    bandwidth-bound all-pairs streaming protocol is pushed through both
+//!    engines — sync, and event (per-link dependency scheduling on a worker
+//!    pool, one row per `--pools` entry) — with the event engine measured
+//!    under **both delivery modes** (exact lockstep-equivalent delivery,
+//!    and relaxed PANDA-style quiescence promises). Each row reports
+//!    simulated rounds per second and — via a counting global allocator —
+//!    heap allocations per round. A sample times enough back-to-back runs
+//!    to span about `SAMPLE_SECS`; rows are sampled round-robin
+//!    `ENGINE_REPS` times, so a slow phase of the host hits every row
+//!    alike, and each row reports its median sample. Asserted: the event
 //!    engine at one worker stays within 10% of sync (the scheduler must
-//!    cost only watermark bookkeeping), at pool ≥ 2 it beats the threaded
-//!    engine's rounds/sec (the whole point of removing the barrier), and
-//!    relaxed delivery stays within 10% of exact at every pool (promise
-//!    bookkeeping must be ~free even when the workload offers little to
-//!    pipeline).
+//!    cost only watermark bookkeeping), and relaxed delivery stays within
+//!    10% of exact at every pool (promise bookkeeping must be ~free even
+//!    when the workload offers little to pipeline).
 //! 3. **Transport micro: dense lattice vs `HashMap` links.** The engines'
 //!    per-round transport loop is replayed over the dense `Vec<LinkFifo>`
 //!    lattice the engines use and over the `HashMap<(dst, src), LinkFifo>`
@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use kmachine::{
-    engine::{run_event, run_sync, run_threaded},
+    engine::{run_event, run_sync},
     BandwidthMode, Ctx, DeliveryMode, Envelope, LinkFifo, NetConfig, Payload, Protocol, Step,
 };
 use knn_bench::args::Args;
@@ -63,9 +63,13 @@ use knn_points::ScalarPoint;
 use knn_workloads::ScalarWorkload;
 use rayon::ThreadPoolBuilder;
 
-/// Repetitions per engine row; the minimum is reported, since scheduler
-/// noise on shared 1-CPU CI runners dominates single measurements.
-const ENGINE_REPS: usize = 5;
+/// Samples per engine row; the median is reported.
+const ENGINE_REPS: usize = 7;
+
+/// Wall time one engine sample spans. A single run of the default stream
+/// takes about a millisecond — short enough for timer and scheduler jitter
+/// to dominate — so a sample times as many back-to-back runs as fill this.
+const SAMPLE_SECS: f64 = 0.04;
 
 /// System allocator wrapped with an allocation counter, so the engine rows
 /// can report allocations per simulated round.
@@ -406,15 +410,12 @@ fn main() {
             .map(|_| AllPairsStream { n: stream, expected, received: 0, checksum: 0 })
             .collect::<Vec<_>>()
     };
-    // (engine name, delivery mode, pool column, config). The sync and
-    // threaded engines have fixed concurrency (1 and k) and are inherently
-    // exact; the event engine gets one row per requested pool size — its
-    // scheduler's worker count — under each delivery mode, so the report
-    // is the full engine × mode table.
-    let mut engine_cfgs: Vec<(&str, DeliveryMode, usize, NetConfig)> = vec![
-        ("sync", DeliveryMode::Exact, 1, cfg.clone()),
-        ("threaded", DeliveryMode::Exact, k, cfg.clone()),
-    ];
+    // (engine name, delivery mode, pool column, config). The sync engine is
+    // sequential and inherently exact; the event engine gets one row per
+    // requested pool size — its scheduler's worker count — under each
+    // delivery mode, so the report is the full engine × mode table.
+    let mut engine_cfgs: Vec<(&str, DeliveryMode, usize, NetConfig)> =
+        vec![("sync", DeliveryMode::Exact, 1, cfg.clone())];
     for mode in [DeliveryMode::Exact, DeliveryMode::Relaxed] {
         for &pool in &pools {
             engine_cfgs.push((
@@ -425,46 +426,66 @@ fn main() {
             ));
         }
     }
-    let mut engine_rows: Vec<EngineRow> = Vec::new();
+    let run_row = |name: &str, mode: DeliveryMode, run_cfg: &NetConfig, protocols| {
+        match name {
+            "sync" => run_sync(run_cfg, protocols),
+            _ => run_event(run_cfg, protocols),
+        }
+        .unwrap_or_else(|e| panic!("{name} ({}) run failed: {e}", mode.name()))
+    };
+    // One calibration run per row: the rounds, the allocations per round,
+    // the outputs (checked against every other row), and how many runs
+    // fill one sample.
+    let mut calibration: Vec<(u64, u64, usize)> = Vec::new();
     let mut checksum: Option<Vec<u64>> = None;
     for (name, mode, pool, run_cfg) in &engine_cfgs {
-        let mut seconds = f64::INFINITY;
-        let mut rounds = 0;
-        let mut allocs = 0;
-        for rep in 0..ENGINE_REPS {
-            let before = allocations();
-            let start = Instant::now();
-            let out = match *name {
-                "sync" => run_sync(run_cfg, mk()),
-                "threaded" => run_threaded(run_cfg, mk()),
-                _ => run_event(run_cfg, mk()),
-            }
-            .unwrap_or_else(|e| panic!("{name} ({}) run failed: {e}", mode.name()));
-            seconds = seconds.min(start.elapsed().as_secs_f64());
-            if rep == 0 {
-                allocs = allocations() - before;
-                rounds = out.metrics.rounds;
-                match &checksum {
-                    None => checksum = Some(out.outputs),
-                    Some(want) => assert_eq!(
-                        &out.outputs,
-                        want,
-                        "engine {name} ({}, pool {pool}) diverged from the reference outputs",
-                        mode.name()
-                    ),
-                }
-            }
+        let before = allocations();
+        let start = Instant::now();
+        let out = run_row(name, *mode, run_cfg, mk());
+        let seconds = start.elapsed().as_secs_f64();
+        let allocs = allocations() - before;
+        match &checksum {
+            None => checksum = Some(out.outputs),
+            Some(want) => assert_eq!(
+                &out.outputs,
+                want,
+                "engine {name} ({}, pool {pool}) diverged from the reference outputs",
+                mode.name()
+            ),
         }
-        engine_rows.push(EngineRow {
-            engine: name.to_string(),
-            delivery: mode.name().to_string(),
-            pool: *pool,
-            rounds,
-            seconds,
-            rounds_per_sec: rounds as f64 / seconds.max(1e-12),
-            allocs_per_round: allocs as f64 / rounds.max(1) as f64,
-        });
+        let runs = ((SAMPLE_SECS / seconds.max(1e-6)).ceil() as usize).max(1);
+        calibration.push((out.metrics.rounds, allocs, runs));
     }
+    let mut samples: Vec<Vec<f64>> = vec![Vec::with_capacity(ENGINE_REPS); engine_cfgs.len()];
+    for _ in 0..ENGINE_REPS {
+        for (row, (name, mode, _, run_cfg)) in engine_cfgs.iter().enumerate() {
+            let runs = calibration[row].2;
+            let batch: Vec<_> = (0..runs).map(|_| mk()).collect();
+            let start = Instant::now();
+            for protocols in batch {
+                run_row(name, *mode, run_cfg, protocols);
+            }
+            samples[row].push(start.elapsed().as_secs_f64() / runs as f64);
+        }
+    }
+    let engine_rows: Vec<EngineRow> = engine_cfgs
+        .iter()
+        .zip(&calibration)
+        .zip(&mut samples)
+        .map(|(((name, mode, pool, _), &(rounds, allocs, _)), samples)| {
+            samples.sort_by(f64::total_cmp);
+            let seconds = samples[samples.len() / 2];
+            EngineRow {
+                engine: name.to_string(),
+                delivery: mode.name().to_string(),
+                pool: *pool,
+                rounds,
+                seconds,
+                rounds_per_sec: rounds as f64 / seconds.max(1e-12),
+                allocs_per_round: allocs as f64 / rounds.max(1) as f64,
+            }
+        })
+        .collect();
 
     let mut engine_table = Table::new(&[
         "engine",
@@ -497,11 +518,8 @@ fn main() {
             .unwrap_or(0.0)
     };
     let sync_rps = rps("sync", "exact", 1);
-    let threaded_rps = rps("threaded", "exact", k);
-    // Barrier-removal bars. Neither needs multiple CPUs — a one-worker
-    // event run measures pure scheduler overhead, and beating the threaded
-    // engine on a small host only requires not paying 3k barrier waits per
-    // round — so both are asserted on every host.
+    // A one-worker event run measures pure scheduler overhead, so this bar
+    // needs no spare CPU and is asserted on every host.
     let event_seq = rps("event", "exact", 1);
     if event_seq > 0.0 {
         assert!(
@@ -512,22 +530,6 @@ fn main() {
         println!(
             "\nevent@1 vs sync: {:.2}x rounds/sec (>= 0.9x required) -> ok",
             event_seq / sync_rps.max(1e-12)
-        );
-    }
-    if let Some(best_parallel) = engine_rows
-        .iter()
-        .filter(|r| r.engine == "event" && r.delivery == "exact" && r.pool >= 2)
-        .map(|r| r.rounds_per_sec)
-        .fold(None, |acc: Option<f64>, s| Some(acc.map_or(s, |a| a.max(s))))
-    {
-        assert!(
-            best_parallel > threaded_rps,
-            "event engine at pool >= 2 ({best_parallel:.0} rounds/s) must beat the threaded \
-             engine ({threaded_rps:.0} rounds/s) — removing the barrier is the whole point"
-        );
-        println!(
-            "event@pool>=2 vs threaded: {:.2}x rounds/sec (> 1x required) -> ok",
-            best_parallel / threaded_rps.max(1e-12)
         );
     }
     // Relaxed vs exact, pool by pool: promises must not tax the round
@@ -616,8 +618,7 @@ fn main() {
         let q = ScalarPoint(1 << 31);
         let mut query = Vec::new();
         let mut reference = None;
-        for engine in [kmachine::Engine::Sync, kmachine::Engine::Threaded, kmachine::Engine::Event]
-        {
+        for engine in [kmachine::Engine::Sync, kmachine::Engine::Event] {
             cluster.set_engine(engine);
             let start = Instant::now();
             let ans = cluster.query_with(Algorithm::Simple, &q, ell).expect("query");

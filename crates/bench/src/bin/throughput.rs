@@ -21,10 +21,9 @@
 //! baseline faithfully bisects the full local key sets), so its drop
 //! overstates pure batching gains.
 //!
-//! The `--engines` flag (comma-separated: `sync`, `threaded`, `event`,
-//! `auto`; default `sync`) repeats the sweep per engine and records an
-//! engine column, so the barrier-removal win of the event engine shows up
-//! as qps on the same simulated workload — rounds/q, msgs/q, and kbits/q
+//! The `--engines` flag (comma-separated: `sync`, `event`, `auto`;
+//! default `sync`) repeats the sweep per engine and records an engine
+//! column, so the parallel win of the event engine shows up as qps on the same simulated workload — rounds/q, msgs/q, and kbits/q
 //! are engine-invariant by the determinism contract.
 //!
 //! Fault and skew accounting ride every row: `--loss` (per-mille message

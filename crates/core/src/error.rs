@@ -12,11 +12,12 @@ pub enum CoreError {
     Engine(EngineError),
     /// The cluster has zero machines.
     EmptyCluster,
-    /// `load_shards` was given the wrong number of shards.
+    /// `load_shards` was given the wrong number of shards, or
+    /// `QuerySession::new` a different number of indices than shards.
     ShardCount {
-        /// Machines in the cluster.
+        /// Machines in the cluster (shards, for a session).
         expected: usize,
-        /// Shards provided.
+        /// Shards (indices, for a session) provided.
         got: usize,
     },
     /// A query was issued before any data was loaded.

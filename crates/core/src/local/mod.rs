@@ -1,9 +1,9 @@
 //! Local (per-machine) computation helpers and shard indices.
 //!
 //! The model charges nothing for local computation, but the wall-clock
-//! experiments do: these run inside each machine's round 0 — on the
-//! machine's own thread under the threaded engine — matching where the
-//! paper's cluster spends its local time.
+//! experiments do: these run inside each machine's round 0 — in parallel
+//! across machines under the event engine — matching where the paper's
+//! cluster spends its local time.
 //!
 //! Three candidate-generation paths exist:
 //!

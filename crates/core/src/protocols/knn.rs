@@ -28,9 +28,9 @@ use rand::RngExt;
 use super::select_core::{CoreStatus, SelMsg, SelectCore};
 
 /// A closure producing this machine's local keys, run inside round 0 so the
-/// distance computation executes *on the machine's own thread* under the
-/// threaded engine — exactly where the paper's experiment spends its local
-/// time.
+/// distance computation executes on whichever worker thread runs the
+/// machine under the event engine — exactly where the paper's experiment
+/// spends its local time.
 pub type KeySource<'a, K> = Box<dyn FnOnce() -> Vec<K> + Send + 'a>;
 
 /// Tunables of Algorithm 2.
@@ -427,7 +427,7 @@ impl<'a, K: Key> Protocol for KnnProtocol<'a, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kmachine::engine::{run_sync, run_threaded};
+    use kmachine::engine::{run_event, run_sync};
     use kmachine::NetConfig;
     use knn_workloads::partition::{PartitionStrategy, ALL_STRATEGIES};
     use proptest::prelude::*;
@@ -639,7 +639,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let a = run_sync(&cfg, mk(&shards)).unwrap();
-        let b = run_threaded(&cfg, mk(&shards)).unwrap();
+        let b = run_event(&cfg.clone().with_event_workers(2), mk(&shards)).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.metrics.rounds, b.metrics.rounds);
         assert_eq!(a.metrics.messages, b.metrics.messages);

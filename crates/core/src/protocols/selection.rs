@@ -71,7 +71,7 @@ impl<K: Key> Protocol for SelectProtocol<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kmachine::engine::{run_sync, run_threaded};
+    use kmachine::engine::{run_event, run_sync};
     use kmachine::{BandwidthMode, NetConfig};
     use knn_workloads::partition::{PartitionStrategy, ALL_STRATEGIES};
     use proptest::prelude::*;
@@ -201,6 +201,8 @@ mod tests {
         assert!(m.messages <= bound, "messages = {} > {bound}", m.messages);
     }
 
+    /// The event engine on two worker threads: machines genuinely run
+    /// concurrently, and the outcome must still be the lockstep one.
     #[test]
     fn threaded_engine_agrees_with_sync() {
         let shards = vec![vec![10u64, 40, 70, 15], vec![20, 50, 80], vec![30, 60, 90, 5, 6]];
@@ -214,7 +216,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let a = run_sync(&cfg, mk(&shards)).unwrap();
-        let b = run_threaded(&cfg, mk(&shards)).unwrap();
+        let b = run_event(&cfg.clone().with_event_workers(2), mk(&shards)).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.metrics.rounds, b.metrics.rounds);
         assert_eq!(a.metrics.messages, b.metrics.messages);

@@ -306,7 +306,7 @@ impl<'a, K: NumericKey> Protocol for SimpleProtocol<'a, K> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kmachine::engine::{run_sync, run_threaded};
+    use kmachine::engine::{run_event, run_sync};
     use kmachine::{BandwidthMode, FaultPlan, NetConfig};
     use knn_workloads::partition::{PartitionStrategy, ALL_STRATEGIES};
     use proptest::prelude::*;
@@ -505,7 +505,7 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         let a = run_sync(&cfg, mk(&shards)).unwrap();
-        let b = run_threaded(&cfg, mk(&shards)).unwrap();
+        let b = run_event(&cfg.clone().with_event_workers(2), mk(&shards)).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.metrics.rounds, b.metrics.rounds);
         assert_eq!(a.metrics.messages, b.metrics.messages);

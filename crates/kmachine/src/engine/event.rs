@@ -1,22 +1,21 @@
 //! Event-driven engine: per-link dependency scheduling, no global barrier.
 //!
-//! [`run_threaded`](super::run_threaded) ends every simulated round with a
-//! barrier across all k workers, so one slow machine (or one descheduled
-//! thread) stalls everyone — the cost that caps the batched-serving wins at
-//! wall-clock level. This engine replaces the barrier with **neighbor-local
-//! synchronization** over a round-slotted extension of the dense
-//! `Vec<LinkFifo>` lattice:
+//! A lockstep simulation ends every round at a global boundary, so one slow
+//! machine (or one descheduled thread) stalls everyone — the cost that caps
+//! the batched-serving wins at wall-clock level. This engine replaces the
+//! boundary with **neighbor-local synchronization** over round-slotted
+//! inbound staging rings:
 //!
 //! * every machine gets two watermarks — `published` (how many transport
 //!   phases it has completed, one release store per round no matter how
 //!   many links it drove) and `consumed` (how many rounds it has drained) —
 //!   and a round-slotted inbound staging ring: slot `t % window` of
 //!   machine m's ring collects what every source's transport phase `t`
-//!   delivered toward m. Sources append at different times; the engine's
-//!   existing `(src, seq)` inbox sort restores the deterministic order, so
-//!   sharing one slot per (destination, round) costs nothing and lets an
-//!   idle link cost literally zero (an empty transport is just the one
-//!   watermark store);
+//!   delivered toward m. Sources append at different times; the shared
+//!   step driver's `(src, seq)` inbox sort restores the deterministic
+//!   order, so sharing one slot per (destination, round) costs nothing and
+//!   lets an idle link cost literally zero (an empty transport is just the
+//!   one watermark store);
 //! * machine `m` may execute round `r` as soon as every peer has
 //!   `published ≥ r` (its inputs exist) and `consumed + window > r` (the
 //!   staging slots it may write are free) — nothing else in the cluster
@@ -27,9 +26,9 @@
 //!   between machines is inherently bounded at one round of skew. What
 //!   the engine removes is the *cost* of synchronization, not its
 //!   data-flow edges: no machine ever waits at a global round boundary,
-//!   there are no 3k barrier waits per round, k machines share a few
-//!   worker threads instead of owning one each, and a machine's
-//!   synchronization is wait-free whenever its peers have kept pace;
+//!   k machines share a few worker threads instead of owning one each, and
+//!   a machine's synchronization is wait-free whenever its peers have kept
+//!   pace;
 //! * under [`DeliveryMode::Relaxed`] the one-round bound itself falls:
 //!   senders publish **quiescence promises** — a monotone per-machine
 //!   round horizon meaning "no messages from me before round X" — when a
@@ -39,12 +38,19 @@
 //!   published (empty) transport, so a machine runs up to `window − 1`
 //!   rounds ahead of a quiet peer — real multi-round pipelining, PANDA
 //!   style. A promise only ever substitutes for a **provably empty**
-//!   transport, so every inbox is byte-identical to the lockstep engines'
-//!   and outputs, rounds, and all of [`RunMetrics`] are unchanged; a send
-//!   inside a promised window aborts the run with
+//!   transport, so every inbox is byte-identical to the lockstep engine's
+//!   and outputs, rounds, and all of [`RunMetrics`](crate::RunMetrics) are
+//!   unchanged; a send inside a promised window aborts the run with
 //!   [`EngineError::PromiseViolated`] (promises are load-bearing and can
 //!   never be revoked). The realized overlap is reported via
 //!   [`SkewMetrics`] on the outcome;
+//! * a synthetic [`NetConfig::round_latency`] delays each published
+//!   transport: the readiness check additionally waits until every
+//!   transport a round consumes (the machine's own included) is at least
+//!   that old; a [`crate::config::FaultPlan`] straggler likewise waits a
+//!   per-round delay after its own publish. Workers never sleep on a
+//!   machine they hold — a machine waiting out a deadline is released, and
+//!   an idle worker parks until the earliest deadline it saw;
 //! * machines are cooperatively-scheduled tasks on a small worker pool
 //!   ([`NetConfig::event_workers`], default: the ambient rayon pool size),
 //!   not one OS thread each — and a pool of **one** worker takes the
@@ -54,35 +60,33 @@
 //!   cannot happen (the outcome is bit-identical either way — that is the
 //!   engine contract this module's tests pin).
 //!
-//! Outputs, round counts, and every [`RunMetrics`] field are byte-identical
-//! to [`run_sync`](super::run_sync) for deterministic protocols at any
-//! worker count: per-round inboxes are reassembled in the same `(src, seq)`
-//! order, RNG streams are untouched, and the run-ahead bookkeeping
-//! (speculative transports past the final round, late deliveries consumed
-//! out of lockstep) is filtered back to exactly what the lockstep engines
-//! would have observed. `tests/parallel_determinism.rs` pins this for the
-//! full serving pipeline; the unit tests below pin the error paths.
+//! Outputs, round counts, and every [`RunMetrics`](crate::RunMetrics) field
+//! are byte-identical to [`run_sync`](super::run_sync) for deterministic
+//! protocols at any worker count: machines step through the same driver,
+//! RNG streams are untouched, and the run-ahead bookkeeping (speculative
+//! transports past the final round, late deliveries consumed out of
+//! lockstep) is filtered back to exactly what the lockstep engine would
+//! have observed. `tests/parallel_determinism.rs` pins this for the full
+//! serving pipeline; the unit tests below pin the error paths.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::Condvar;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
 
 use crate::config::{DeliveryMode, NetConfig};
-use crate::ctx::{AdversaryCtx, Ctx};
-use crate::engine::sync::{build_link, crash_horizons, crashed_error};
+use crate::engine::driver::{self, Machine, Run, Schedule, Scheduled, Status};
+use crate::engine::sync::Lockstep;
 use crate::engine::RunOutcome;
 use crate::error::EngineError;
-use crate::link::LinkFifo;
 use crate::message::{Envelope, MachineId};
-use crate::metrics::{AuditMetrics, FaultMetrics, RunMetrics, SkewMetrics, TagMetrics};
-use crate::payload::Payload;
-use crate::protocol::{Protocol, Step};
-use crate::recovery;
-use crate::rng::machine_rng;
+use crate::metrics::SkewMetrics;
+use crate::protocol::Protocol;
+
+/// Most machines the event engine runs: its stall detector packs per-round
+/// quiet counts in 16 bits.
+pub(crate) const EVENT_MAX_MACHINES: usize = u16::MAX as usize;
 
 /// How long an idle worker parks before re-sweeping, bounding the cost of a
 /// lost wakeup (the fast path never sleeps: any publish bumps the epoch and
@@ -91,9 +95,9 @@ const IDLE_PARK: Duration = Duration::from_micros(200);
 
 /// Wall-clock quantum a straggling machine loses per unit of slowdown: a
 /// [`crate::config::FaultPlan`] speed factor of `f` delays each of the
-/// machine's rounds by `(f − 1)` quanta. Purely a scheduling delay — the
-/// simulated execution is unchanged, only the realized skew (and wall
-/// clock) moves.
+/// machine's rounds by `(f − 1)` quanta after its previous publish. Purely
+/// a scheduling delay, waited out like a latency deadline — the simulated
+/// execution is unchanged, only the realized skew (and wall clock) moves.
 const STRAGGLE_QUANTUM: Duration = Duration::from_micros(200);
 
 /// One machine's inbound staging ring: slot `t % window` collects what
@@ -107,32 +111,18 @@ const STRAGGLE_QUANTUM: Duration = Duration::from_micros(200);
 /// the mutex is held only for the append/take itself.
 type InboundRing<M> = Mutex<Vec<Vec<Envelope<M>>>>;
 
-/// Everything a machine owns: protocol, determinism state, outbound FIFOs,
-/// reused buffers, and thread-free metric accumulators (merged once at the
-/// end — the hot path touches no shared counters).
-struct MachineState<P: Protocol> {
-    proto: P,
-    rng: StdRng,
-    seq: u64,
+/// A machine as this scheduler holds it: the driver's machine plus its
+/// round cursor, inbox buffer, and pipelining accounts.
+struct Slot<'l, P: Protocol> {
+    m: Machine<'l, P>,
     round: u64,
-    /// Outbound FIFO toward each destination (`fifos[id]` stays empty).
-    fifos: Vec<LinkFifo<P::Msg>>,
-    outbox: Vec<Envelope<P::Msg>>,
     inbox: Vec<Envelope<P::Msg>>,
-    done: bool,
-    poisoned: bool,
-    output: Option<P::Output>,
     /// Non-empty inbox rounds consumed after this machine was done, as
-    /// `(round, count)`. Finalization keeps only rounds the lockstep
-    /// engines would have executed (`round ≤ final_round`), discarding
-    /// speculative overshoot (one round under exact delivery; up to
-    /// `window` rounds when promises let a machine race ahead).
+    /// `(round, count)`. Collection keeps only rounds the lockstep engine
+    /// would have executed (`round ≤ final_round`), discarding speculative
+    /// overshoot (one round under exact delivery; up to `window` rounds
+    /// when promises let a machine race ahead).
     late: Vec<(u64, u64)>,
-    messages: u64,
-    bits: u64,
-    sends: u64,
-    max_backlog: u64,
-    tags: Vec<TagMetrics>,
     exited: bool,
     /// Relaxed delivery: this machine's own outstanding silence horizon
     /// (monotone mirror of `Shared::promised[id]`), used to detect
@@ -148,12 +138,20 @@ struct MachineState<P: Protocol> {
     promises: u64,
 }
 
+impl<P: Protocol> Slot<'_, P> {
+    /// Bill whatever is left in the inbox at round `r` as late.
+    fn discard_late(&mut self, r: u64) {
+        if !self.inbox.is_empty() {
+            self.late.push((r, self.inbox.len() as u64));
+            self.inbox.clear();
+        }
+    }
+}
+
 /// Cross-machine coordination state.
-struct Shared<M> {
-    k: usize,
-    budget: u64,
+struct Shared<'r, M> {
+    run: &'r Run<'r>,
     window: u64,
-    max_rounds: u64,
     /// Transport phases machine i has completed (one release store per
     /// round; transport `t` feeds every destination's round `t + 1`).
     published: Vec<AtomicU64>,
@@ -169,17 +167,33 @@ struct Shared<M> {
     relaxed: bool,
     /// Per-destination round-slotted staging rings.
     inbound: Vec<InboundRing<M>>,
+    /// Synthetic per-round latency in nanoseconds (0: none).
+    latency_ns: u64,
+    /// Per-machine straggler delay per round in nanoseconds (0: full
+    /// speed).
+    straggle_ns: Vec<u64>,
+    /// Whether a latency or a straggler delays any round.
+    timed: bool,
+    /// When `timed`: slot `i * window + t % window` holds when machine i
+    /// published transport `t`, in nanoseconds since `origin`. A slot is
+    /// rewritten only once every reader has consumed the round it feeds
+    /// (the same `consumed` gate as the staging rings). Empty otherwise.
+    published_at: Vec<AtomicU64>,
+    origin: Instant,
     /// All machines finished (or an error was recorded); exit after
     /// consuming through `final_round`.
     stop: AtomicBool,
     /// Error shutdown: exit immediately, metrics are not reported.
     abort: AtomicBool,
     /// Highest round in which any machine produced its output — exactly
-    /// `RunMetrics::rounds` of the lockstep engines.
+    /// `RunMetrics::rounds` of the lockstep engine.
     final_round: AtomicU64,
     done_count: AtomicUsize,
     exited_count: AtomicUsize,
     error: Mutex<Option<EngineError>>,
+    /// Lowest machine id that hit its fail-stop horizon (`usize::MAX`:
+    /// none), for the stall report.
+    lowest_crashed: AtomicUsize,
     /// Stall detector: slot `r % len` packs `(round << 16) | quiet_count`.
     /// When the count for one round reaches k, the run is stalled — the
     /// same "nothing sent, nothing delivered, nothing in flight, nobody
@@ -190,275 +204,217 @@ struct Shared<M> {
     sleepers: AtomicUsize,
     idle: Mutex<()>,
     cv: Condvar,
-    /// Per-machine fail-stop horizons from the fault plan (`u64::MAX`:
-    /// never crashes).
-    crash_rounds: Vec<u64>,
-    /// Per-machine rejoin horizons from the recovery plan (`u64::MAX`:
-    /// never scheduled).
-    rejoin_rounds: Vec<u64>,
-    /// Shared rejoin state when a [`crate::config::RecoveryPlan`] is
-    /// active: the quiet-ring stall detector consults it so a cluster
-    /// waiting out an outage is not mistaken for a deadlock.
-    recovering: Option<Arc<recovery::RecoveryShared>>,
-    /// Per-machine speed factors from the fault plan (1: full speed).
-    slowdowns: Vec<u32>,
-    /// Retry budget a lossy link exhausts before going down (for the
-    /// [`EngineError::LinkDown`] report).
-    max_retries: u32,
-    /// Machines that hit their fail-stop horizon (unordered; sorted at
-    /// collection).
-    crashed: Mutex<Vec<usize>>,
-    /// Byzantine lying context when the run's
-    /// [`crate::config::AdversaryPlan`] has liars or equivocators (`None`
-    /// otherwise — the honest hot path pays one `Option` check per send).
-    adversary: Option<AdversaryCtx>,
 }
 
-impl<M> Shared<M> {
+impl<M> Shared<'_, M> {
     fn wake(&self) {
         if self.sleepers.load(Ordering::Acquire) > 0 {
             self.cv.notify_all();
         }
     }
 
-    fn fail(&self, err: EngineError) {
-        let mut slot = self.error.lock();
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-        drop(slot);
-        self.abort.store(true, Ordering::Release);
-        self.stop.store(true, Ordering::Release);
-        self.cv.notify_all();
+    fn now_ns(&self) -> u64 {
+        self.origin.elapsed().as_nanos() as u64
+    }
+
+    /// When round `r` of machine `id` may start, in nanoseconds since
+    /// `origin`: every transport it consumes (peers' and its own) is at
+    /// least `round_latency` old, and a running straggler has spent its
+    /// per-round delay since its own publish. Transports a promise stands
+    /// in for were never published and carry nothing, so they add no delay.
+    fn due(&self, id: MachineId, r: u64, running: bool) -> u64 {
+        let slot = ((r - 1) % self.window) as usize;
+        let at =
+            |p: usize| self.published_at[p * self.window as usize + slot].load(Ordering::Acquire);
+        let own = at(id) + if running { self.straggle_ns[id] } else { 0 };
+        let peers = (0..self.run.k)
+            .filter(|&p| p != id && self.published[p].load(Ordering::Acquire) >= r)
+            .map(at);
+        peers.fold(own, u64::max) + self.latency_ns
     }
 }
 
 /// Execute one protocol instance per machine with per-link dependency
-/// scheduling on a small worker pool.
+/// scheduling on a small worker pool, as the module docs describe.
 ///
-/// Semantics (outputs, rounds, messages, every metric) match
-/// [`run_sync`](super::run_sync); wall-clock time reflects genuinely
-/// parallel local computation *without* a per-round global barrier —
-/// machines synchronize only against their slowest peer's previous round
-/// (the data-flow minimum for bit-exact complete-graph delivery; see the
-/// [module docs](self) for why that bounds skew at one round).
-///
-/// [`NetConfig::round_latency`] is ignored (there is no global round to
-/// attach it to); use the threaded engine for synthetic-latency runs.
-///
-/// With an effective pool of one worker (including `k == 1`) the engine
-/// takes the degenerate path: one worker sweeping dependency-ready machines
-/// *is* the lockstep order, so it runs [`run_sync`]'s loop and pays zero
-/// scheduling overhead. The outcome is identical by the engine contract.
-///
-/// Under [`NetConfig::delivery`]` == `[`DeliveryMode::Relaxed`], quiescence
-/// promises may stand in for empty transports (see the [module
-/// docs](self)): outputs and metrics stay byte-identical, machines may run
-/// up to `event_window − 1` rounds apart, and the realized overlap is
-/// reported in [`RunOutcome::skew`] (tracked only on this path — the
-/// degenerate one-worker path cannot overlap anything and reports an empty
-/// [`SkewMetrics`]).
+/// Outputs, rounds, and every metric match [`run_sync`]; wall-clock time
+/// reflects parallel local computation without a per-round global barrier,
+/// plus [`NetConfig::round_latency`] per round if one is set. An effective
+/// pool of one worker (including `k == 1`) runs [`run_sync`]'s loop
+/// outright and reports an empty [`SkewMetrics`]; otherwise relaxed runs
+/// report their realized overlap in [`RunOutcome::skew`]. A cluster of
+/// more than 65 535 machines is rejected with [`EngineError::InvalidPlan`]
+/// before anything is allocated.
 ///
 /// # Panics
-/// If `protocols.len() != cfg.k`, bandwidth is `Enforce { 0 }`, or
-/// `k > 65535` (the stall detector packs per-round quiet counts in 16 bits).
+/// If `protocols.len() != cfg.k` or bandwidth is `Enforce { 0 }`.
+///
+/// [`run_sync`]: super::run_sync
 pub fn run_event<P: Protocol>(
     cfg: &NetConfig,
     protocols: Vec<P>,
 ) -> Result<RunOutcome<P::Output>, EngineError> {
-    recovery::validate(cfg)?;
-    let k = protocols.len();
-    assert_eq!(k, cfg.k, "protocol count {} != cfg.k {}", k, cfg.k);
-    let workers = cfg.event_workers.unwrap_or_else(rayon::current_num_threads).clamp(1, k.max(1));
+    if cfg.k > EVENT_MAX_MACHINES {
+        return Err(EngineError::InvalidPlan {
+            reason: format!(
+                "the event engine runs at most {EVENT_MAX_MACHINES} machines, got k = {}",
+                cfg.k
+            ),
+        });
+    }
+    let workers =
+        cfg.event_workers.unwrap_or_else(rayon::current_num_threads).clamp(1, cfg.k.max(1));
     if workers <= 1 {
-        // Degenerate before wrapping: `run_sync` applies its own recovery
-        // wrapper, so delegating here never double-wraps.
-        return super::run_sync(cfg, protocols);
+        return driver::run(cfg, protocols, &Lockstep);
     }
-    if cfg.recovery.is_empty() {
-        return event_core(cfg, protocols, workers, None);
-    }
-    let (wrapped, state) = recovery::wrap(cfg, protocols);
-    recovery::finish(event_core(cfg, wrapped, workers, Some(Arc::clone(&state))), &state)
+    driver::run(cfg, protocols, &Pool { workers })
 }
 
-/// The scheduler run itself; `recovering` carries the shared rejoin state
-/// when a [`crate::config::RecoveryPlan`] is active.
-fn event_core<P: Protocol>(
-    cfg: &NetConfig,
-    protocols: Vec<P>,
+/// The dependency schedule on `workers` threads.
+struct Pool {
     workers: usize,
-    recovering: Option<Arc<recovery::RecoveryShared>>,
-) -> Result<RunOutcome<P::Output>, EngineError> {
-    let k = protocols.len();
-    let budget = cfg.bandwidth.budget();
-    assert!(budget >= 1, "bandwidth must allow at least 1 bit per round");
-    // Depth ≥ 2 keeps the minimum-round machine always runnable (its
-    // consumers' `consumed` trails its round by at most one).
-    let window = cfg.event_window.max(2);
-    assert!(k <= u16::MAX as usize, "event engine supports at most 65535 machines");
+}
 
-    let shared = Shared::<P::Msg> {
-        k,
-        budget,
-        window,
-        max_rounds: cfg.max_rounds,
-        published: (0..k).map(|_| AtomicU64::new(0)).collect(),
-        consumed: (0..k).map(|_| AtomicU64::new(0)).collect(),
-        promised: (0..k).map(|_| AtomicU64::new(0)).collect(),
-        relaxed: cfg.delivery == DeliveryMode::Relaxed,
-        inbound: (0..k).map(|_| Mutex::new((0..window).map(|_| Vec::new()).collect())).collect(),
-        stop: AtomicBool::new(false),
-        abort: AtomicBool::new(false),
-        final_round: AtomicU64::new(0),
-        done_count: AtomicUsize::new(0),
-        exited_count: AtomicUsize::new(0),
-        error: Mutex::new(None),
-        quiet: (0..window + 2).map(|_| AtomicU64::new(0)).collect(),
-        epoch: AtomicU64::new(0),
-        sleepers: AtomicUsize::new(0),
-        idle: Mutex::new(()),
-        cv: Condvar::new(),
-        crash_rounds: crash_horizons(cfg),
-        rejoin_rounds: recovery::rejoin_horizons(cfg),
-        recovering,
-        slowdowns: (0..k).map(|i| cfg.faults.slowdown(i)).collect(),
-        max_retries: cfg.faults.max_retries,
-        crashed: Mutex::new(Vec::new()),
-        adversary: AdversaryCtx::from_plan(&cfg.adversary, k),
-    };
-    let machines: Vec<Mutex<MachineState<P>>> = protocols
-        .into_iter()
-        .enumerate()
-        .map(|(id, proto)| {
-            Mutex::new(MachineState {
-                proto,
-                rng: machine_rng(cfg.seed, id),
-                seq: 0,
-                round: 0,
-                fifos: (0..k).map(|dst| build_link(cfg, id, dst)).collect(),
-                outbox: Vec::with_capacity(k),
-                inbox: Vec::with_capacity(k),
-                done: false,
-                poisoned: false,
-                output: None,
-                late: Vec::new(),
-                messages: 0,
-                bits: 0,
-                sends: 0,
-                max_backlog: 0,
-                tags: Vec::new(),
-                exited: false,
-                promise: 0,
-                max_skew: 0,
-                promised_rounds: 0,
-                promises: 0,
+impl Schedule for Pool {
+    fn schedule<'l, P: Protocol>(
+        &self,
+        run: &Run<'_>,
+        machines: Vec<Machine<'l, P>>,
+    ) -> Result<Scheduled<'l, P>, EngineError> {
+        let k = run.k;
+        let cfg = run.cfg;
+        // Depth ≥ 2 keeps the minimum-round machine always runnable (its
+        // consumers' `consumed` trails its round by at most one).
+        let window = cfg.event_window.max(2);
+        let latency_ns = cfg.round_latency.as_nanos() as u64;
+        let straggle_ns: Vec<u64> = (0..k)
+            .map(|i| (STRAGGLE_QUANTUM * (cfg.faults.slowdown(i) - 1)).as_nanos() as u64)
+            .collect();
+        let timed = latency_ns > 0 || straggle_ns.iter().any(|&d| d > 0);
+        let shared = Shared::<P::Msg> {
+            run,
+            window,
+            published: (0..k).map(|_| AtomicU64::new(0)).collect(),
+            consumed: (0..k).map(|_| AtomicU64::new(0)).collect(),
+            promised: (0..k).map(|_| AtomicU64::new(0)).collect(),
+            relaxed: cfg.delivery == DeliveryMode::Relaxed,
+            inbound: (0..k)
+                .map(|_| Mutex::new((0..window).map(|_| Vec::new()).collect()))
+                .collect(),
+            latency_ns,
+            straggle_ns,
+            timed,
+            published_at: if timed {
+                (0..k as u64 * window).map(|_| AtomicU64::new(0)).collect()
+            } else {
+                Vec::new()
+            },
+            origin: Instant::now(),
+            stop: AtomicBool::new(false),
+            abort: AtomicBool::new(false),
+            final_round: AtomicU64::new(0),
+            done_count: AtomicUsize::new(0),
+            exited_count: AtomicUsize::new(0),
+            error: Mutex::new(None),
+            lowest_crashed: AtomicUsize::new(usize::MAX),
+            quiet: (0..window + 2).map(|_| AtomicU64::new(0)).collect(),
+            epoch: AtomicU64::new(0),
+            sleepers: AtomicUsize::new(0),
+            idle: Mutex::new(()),
+            cv: Condvar::new(),
+        };
+        let slots: Vec<Mutex<Slot<'l, P>>> = machines
+            .into_iter()
+            .map(|m| {
+                Mutex::new(Slot {
+                    m,
+                    round: 0,
+                    inbox: Vec::with_capacity(k),
+                    late: Vec::new(),
+                    exited: false,
+                    promise: 0,
+                    max_skew: 0,
+                    promised_rounds: 0,
+                    promises: 0,
+                })
             })
-        })
-        .collect();
+            .collect();
 
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let shared = &shared;
-            let machines = &machines;
-            scope.spawn(move || worker(w, workers, machines, shared));
-        }
-    });
-    let wall = start.elapsed();
-
-    if let Some(err) = shared.error.lock().take() {
-        return Err(err);
-    }
-
-    let fin = shared.final_round.load(Ordering::Acquire);
-    let mut metrics = RunMetrics::new(k);
-    metrics.rounds = fin;
-    let mut skew = if shared.relaxed { SkewMetrics::new(k) } else { SkewMetrics::default() };
-    let mut crashed = std::mem::take(&mut *shared.crashed.lock());
-    crashed.sort_unstable();
-    let mut faults = FaultMetrics { crashed, ..Default::default() };
-    let mut audit = AuditMetrics::default();
-    let mut outs = Vec::with_capacity(k);
-    for (i, m) in machines.into_iter().enumerate() {
-        let st = m.into_inner();
-        for fifo in &st.fifos {
-            faults.dropped_messages += fifo.dropped();
-            faults.retransmitted_bits += fifo.retransmitted_bits();
-            audit.digests_verified += fifo.digests_verified();
-        }
-        if shared.relaxed {
-            skew.max_skew_per_machine[i] = st.max_skew;
-            skew.max_skew = skew.max_skew.max(st.max_skew);
-            skew.promised_rounds += st.promised_rounds;
-            skew.promises_published += st.promises;
-        }
-        metrics.messages += st.messages;
-        metrics.bits += st.bits;
-        metrics.sends_per_machine[i] = st.sends;
-        metrics.max_link_backlog_bits = metrics.max_link_backlog_bits.max(st.max_backlog);
-        metrics.delivered_after_done +=
-            st.late.iter().filter(|&&(r, _)| r <= fin).map(|&(_, c)| c).sum::<u64>();
-        if metrics.per_tag.len() < st.tags.len() {
-            metrics.per_tag.resize(st.tags.len(), TagMetrics::default());
-        }
-        for (total, mine) in metrics.per_tag.iter_mut().zip(&st.tags) {
-            total.messages += mine.messages;
-            total.bits += mine.bits;
-        }
-        match st.output {
-            Some(o) => outs.push(o),
-            // A missing output with no recorded panic means a crashed
-            // machine's salvage hook declined — same report as `run_sync`.
-            None if !faults.crashed.is_empty() => {
-                return Err(crashed_error(&faults.crashed, &shared.crash_rounds))
+        std::thread::scope(|scope| {
+            for w in 0..self.workers {
+                let shared = &shared;
+                let slots = &slots;
+                scope.spawn(move || worker(w, self.workers, slots, shared));
             }
-            None => return Err(EngineError::WorkerPanic { machine: i }),
+        });
+
+        if let Some(err) = shared.error.lock().take() {
+            return Err(err);
         }
+        let fin = shared.final_round.load(Ordering::Acquire);
+        let mut skew = if shared.relaxed { SkewMetrics::new(k) } else { SkewMetrics::default() };
+        let mut late = 0;
+        let mut machines = Vec::with_capacity(k);
+        for (i, slot) in slots.into_iter().enumerate() {
+            let st = slot.into_inner();
+            if shared.relaxed {
+                skew.max_skew_per_machine[i] = st.max_skew;
+                skew.max_skew = skew.max_skew.max(st.max_skew);
+                skew.promised_rounds += st.promised_rounds;
+                skew.promises_published += st.promises;
+            }
+            late += st.late.iter().filter(|&&(r, _)| r <= fin).map(|&(_, c)| c).sum::<u64>();
+            machines.push(st.m);
+        }
+        Ok(Scheduled { machines, rounds: fin, delivered_after_done: late, skew })
     }
-    Ok(RunOutcome {
-        outputs: outs,
-        metrics,
-        skew,
-        wall,
-        faults,
-        recovery: crate::metrics::RecoveryMetrics::default(),
-        audit,
-    })
 }
 
 /// Worker loop: sweep the machines (staggered start per worker so workers
 /// spread over distinct machines), advancing each as far as its link
-/// dependencies allow; park briefly when a whole sweep makes no progress.
+/// dependencies allow; park briefly when a whole sweep makes no progress —
+/// no longer than until the earliest deadline the sweep saw.
 fn worker<P: Protocol>(
     w: usize,
     workers: usize,
-    machines: &[Mutex<MachineState<P>>],
-    shared: &Shared<P::Msg>,
+    slots: &[Mutex<Slot<'_, P>>],
+    shared: &Shared<'_, P::Msg>,
 ) {
-    let k = machines.len();
+    let k = slots.len();
     let start = w * k / workers.max(1);
+    // Holds one machine's sends between its step and their hand-off to its
+    // links, so it is always empty between machine-rounds.
+    let mut outbox = Vec::with_capacity(k);
     loop {
         if shared.exited_count.load(Ordering::Acquire) == k {
             return;
         }
         let epoch_before = shared.epoch.load(Ordering::Acquire);
         let mut progressed = false;
+        let mut deadline = u64::MAX;
         for i in 0..k {
             let m = (start + i) % k;
             // A machine locked by another worker is already being advanced.
-            if let Some(mut st) = machines[m].try_lock() {
-                progressed |= advance(m, &mut st, shared);
+            if let Some(mut st) = slots[m].try_lock() {
+                progressed |= advance(m, &mut st, &mut outbox, shared, &mut deadline);
             }
         }
         if shared.exited_count.load(Ordering::Acquire) == k {
             return;
         }
         if !progressed {
+            let park = if deadline == u64::MAX {
+                IDLE_PARK
+            } else {
+                IDLE_PARK.min(Duration::from_nanos(deadline.saturating_sub(shared.now_ns())))
+            };
+            if park.is_zero() {
+                continue;
+            }
             shared.sleepers.fetch_add(1, Ordering::AcqRel);
             let guard = shared.idle.lock();
             if shared.epoch.load(Ordering::Acquire) == epoch_before {
-                let _ = shared.cv.wait_timeout(guard, IDLE_PARK);
+                let _ = shared.cv.wait_timeout(guard, park);
             } else {
                 drop(guard);
             }
@@ -468,9 +424,18 @@ fn worker<P: Protocol>(
 }
 
 /// Advance one machine as many rounds as its dependencies currently allow.
-/// Returns whether at least one round completed (or the machine exited).
-fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::Msg>) -> bool {
-    let k = sh.k;
+/// Returns whether at least one round completed (or the machine exited);
+/// a machine held back only by a latency or straggler deadline lowers
+/// `deadline` to it.
+fn advance<P: Protocol>(
+    id: MachineId,
+    st: &mut Slot<'_, P>,
+    outbox: &mut Vec<Envelope<P::Msg>>,
+    sh: &Shared<'_, P::Msg>,
+    deadline: &mut u64,
+) -> bool {
+    let run = sh.run;
+    let k = run.k;
     let mut progressed = false;
     loop {
         if st.exited {
@@ -481,197 +446,94 @@ fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::
             return true;
         }
         if sh.stop.load(Ordering::Acquire) {
-            // Normal completion. Every transport the lockstep engines would
-            // have run (rounds 0..final_round-1) is already published — some
-            // machine computed round `final_round`, which required them all
-            // — so drain the remaining rounds for exact late-delivery
-            // accounting, then exit.
-            let fin = sh.final_round.load(Ordering::Acquire);
-            while st.round <= fin {
-                let r = st.round;
-                consume_round(id, st, sh, r);
-                if !st.inbox.is_empty() {
-                    st.late.push((r, st.inbox.len() as u64));
-                    st.inbox.clear();
-                }
-                st.round += 1;
-            }
-            exit(st, sh);
+            // Normal completion. Every transport the lockstep engine would
+            // have run (rounds 0..final_round-1) is already published —
+            // some machine computed round `final_round`, which required
+            // them all — so drain the remaining rounds for exact
+            // late-delivery accounting, then exit.
+            wind_down(id, st, sh);
             return true;
         }
 
         let r = st.round;
-        if !st.done && !st.poisoned && r > sh.max_rounds {
-            sh.fail(EngineError::MaxRounds { limit: sh.max_rounds });
-            exit(st, sh);
-            return true;
+        if st.m.running() && r > run.cfg.max_rounds {
+            return abort(st, sh, EngineError::MaxRounds { limit: run.cfg.max_rounds });
         }
         // Inbound dependency: every peer has published its round r-1
         // transport — or, under relaxed delivery, has promised that its
         // unexecuted transports through r-1 are empty. Outbound space:
         // slot r % window of every peer's staging ring is free (its round
         // r-window contents were consumed).
-        let ready = if sh.relaxed {
-            let mut min_pub = u64::MAX;
-            let mut waived = false;
-            let mut ok = true;
-            for peer in 0..k {
-                if peer == id {
-                    continue;
-                }
-                let published = sh.published[peer].load(Ordering::Acquire);
-                min_pub = min_pub.min(published);
-                let covered = published >= r || sh.promised[peer].load(Ordering::Acquire) >= r;
-                if !(covered && sh.consumed[peer].load(Ordering::Acquire) + sh.window > r) {
-                    ok = false;
-                    break;
-                }
-                waived |= published < r;
-            }
-            if ok {
-                // min_pub is complete here (no peer broke the loop), so
-                // this is exactly how far this round ran ahead of the
-                // slowest peer — the overlap exact delivery forbids.
-                st.max_skew = st.max_skew.max(r.saturating_sub(min_pub));
-                st.promised_rounds += u64::from(waived);
-            }
-            ok
-        } else {
-            (0..k).all(|peer| {
-                peer == id
-                    || (sh.published[peer].load(Ordering::Acquire) >= r
-                        && sh.consumed[peer].load(Ordering::Acquire) + sh.window > r)
-            })
-        };
+        let mut min_pub = u64::MAX;
+        let mut waived = false;
+        let ready = (0..k).filter(|&peer| peer != id).all(|peer| {
+            let published = sh.published[peer].load(Ordering::Acquire);
+            min_pub = min_pub.min(published);
+            waived |= published < r;
+            (published >= r || (sh.relaxed && sh.promised[peer].load(Ordering::Acquire) >= r))
+                && sh.consumed[peer].load(Ordering::Acquire) + sh.window > r
+        });
         if !ready {
             return progressed;
         }
-
-        // Straggler injection: a slowed machine loses wall-clock on every
-        // round it executes. The simulated execution is untouched — under
-        // relaxed delivery the realized skew shows up in [`SkewMetrics`].
-        let slow = sh.slowdowns[id];
-        if slow > 1 && !st.done && !st.poisoned {
-            std::thread::sleep(STRAGGLE_QUANTUM * (slow - 1));
+        // Latency and straggler delays: wait out the deadline without
+        // holding the machine (the worker parks until it, or moves on).
+        if sh.timed && r > 0 {
+            let due = sh.due(id, r, st.m.running());
+            if sh.now_ns() < due {
+                *deadline = (*deadline).min(due);
+                return progressed;
+            }
+        }
+        if sh.relaxed {
+            // Every peer was checked, so this is exactly how far this round
+            // runs ahead of the slowest peer — the overlap exact delivery
+            // forbids.
+            st.max_skew = st.max_skew.max(r.saturating_sub(min_pub));
+            st.promised_rounds += u64::from(waived);
         }
 
-        // --- consume: reassemble this round's inbox in (src, seq) order ---
+        // --- consume + compute ---
         consume_round(id, st, sh, r);
-        st.inbox.sort_unstable_by_key(|e| (e.src, e.seq));
-
-        // --- compute ---
         let mut sent = 0u64;
         let mut became_done = false;
-        if st.done || st.poisoned {
-            if !st.inbox.is_empty() {
-                st.late.push((r, st.inbox.len() as u64));
-                st.inbox.clear();
-            }
-        } else if r >= sh.crash_rounds[id] {
-            // Fail-stop: the machine never executes this round. The salvage
-            // hook may still account for its output; from here on it cycles
-            // like a done machine — earlier sends keep draining, late
-            // arrivals are discarded (and the round-r inbox counts as late,
-            // exactly as `run_sync` bills it).
-            if !st.inbox.is_empty() {
-                st.late.push((r, st.inbox.len() as u64));
-                st.inbox.clear();
-            }
-            st.output = st.proto.on_crash();
-            st.done = true;
-            sh.crashed.lock().push(id);
-            became_done = true;
-        } else {
-            let step = {
-                let mut ctx = Ctx {
-                    id,
-                    k,
-                    round: r,
-                    inbox: &st.inbox,
-                    outbox: &mut st.outbox,
-                    rng: &mut st.rng,
-                    next_seq: &mut st.seq,
-                    crash_rounds: &sh.crash_rounds,
-                    rejoin_rounds: &sh.rejoin_rounds,
-                    adversary: sh.adversary.as_ref(),
-                };
-                catch_unwind(AssertUnwindSafe(|| st.proto.on_round(&mut ctx)))
-            };
-            st.inbox.clear();
-            match step {
-                Ok(Step::Continue) => {}
-                Ok(Step::Done(out)) => {
-                    st.output = Some(out);
-                    st.done = true;
+        if st.m.running() {
+            match st.m.step(id, r, &mut st.inbox, outbox, run) {
+                Status::Running => {}
+                Status::Done => became_done = true,
+                Status::Crashed => {
+                    sh.lowest_crashed.fetch_min(id, Ordering::AcqRel);
                     became_done = true;
                 }
-                Err(_) => {
-                    // Record the panic, then keep cycling as a silent
-                    // machine so nobody deadlocks on this link row.
-                    let mut err = sh.error.lock();
-                    if err.is_none() {
-                        *err = Some(EngineError::WorkerPanic { machine: id });
-                    }
-                    drop(err);
-                    st.poisoned = true;
-                    became_done = true;
-                }
+                Status::Panicked => return abort(st, sh, EngineError::WorkerPanic { machine: id }),
             }
-            if sh.relaxed && st.promise > r && !st.outbox.is_empty() {
+            if sh.relaxed && st.promise > r && !outbox.is_empty() {
                 // The machine sent inside a window it promised to keep
                 // silent. Peers already executed rounds on the strength of
-                // that promise, so the send cannot be honored — drop it,
-                // record the violation, and wind the run down like a
-                // panic (cycling silently so nobody deadlocks).
-                let mut err = sh.error.lock();
-                if err.is_none() {
-                    *err = Some(EngineError::PromiseViolated {
-                        machine: id,
-                        round: r,
-                        promised_until: st.promise,
-                    });
-                }
-                drop(err);
-                st.outbox.clear();
-                if !st.done {
-                    st.poisoned = true;
-                    became_done = true;
-                }
+                // that promise, so the send cannot be honored.
+                outbox.clear();
+                let promised_until = st.promise;
+                return abort(
+                    st,
+                    sh,
+                    EngineError::PromiseViolated { machine: id, round: r, promised_until },
+                );
             }
-            for env in st.outbox.drain(..) {
-                let bits = env.msg.size_bits().max(1);
-                st.messages += 1;
-                st.bits += bits;
-                st.sends += 1;
-                sent += 1;
-                if let Some(tag) = env.msg.mux_tag() {
-                    let idx = tag as usize;
-                    if idx >= st.tags.len() {
-                        st.tags.resize(idx + 1, TagMetrics::default());
-                    }
-                    st.tags[idx].messages += 1;
-                    st.tags[idx].bits += bits;
-                }
-                st.fifos[env.dst].push(env, bits);
-            }
+            sent = st.m.send(outbox);
         }
+        // A done or just-crashed machine's inbox is late, exactly as
+        // `run_sync` bills it.
+        st.discard_late(r);
         if became_done {
             sh.final_round.fetch_max(r, Ordering::AcqRel);
             let done_now = sh.done_count.fetch_add(1, Ordering::AcqRel) + 1;
             if done_now == k {
-                // Under exact delivery the wall-clock-last finisher
-                // always holds the highest done round: any machine that
-                // reached a higher round needed this one's transports
-                // to get there, so this one would already have passed
-                // that round (crashed machines keep publishing empty
-                // transports as done machines, so the argument covers
-                // them too). Like run_sync's break, round `r` sees no
-                // transport. Under relaxed delivery a peer may have
-                // raced past this machine on its promise and finished
-                // in a *later* round, so the finisher must drain the
-                // remaining rounds for exact late-delivery accounting
-                // just like everyone else (the loop is empty when
-                // `r == fin`, i.e. always in exact mode).
+                // Under exact delivery the wall-clock-last finisher holds
+                // the highest done round (any machine past it needed this
+                // one's transports), so like run_sync's break, round `r`
+                // sees no transport. Under relaxed delivery a peer may
+                // have raced past on a promise and finished later, so the
+                // finisher drains the remaining rounds like everyone else.
                 debug_assert!(
                     sh.relaxed || sh.final_round.load(Ordering::Acquire) == r,
                     "exact delivery: last finisher must hold the final round"
@@ -679,17 +541,7 @@ fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::
                 st.round = r + 1;
                 sh.stop.store(true, Ordering::Release);
                 sh.cv.notify_all();
-                let fin = sh.final_round.load(Ordering::Acquire);
-                while st.round <= fin {
-                    let rr = st.round;
-                    consume_round(id, st, sh, rr);
-                    if !st.inbox.is_empty() {
-                        st.late.push((rr, st.inbox.len() as u64));
-                        st.inbox.clear();
-                    }
-                    st.round += 1;
-                }
-                exit(st, sh);
+                wind_down(id, st, sh);
                 return true;
             }
         }
@@ -701,32 +553,23 @@ fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::
         let mut pending_total = 0u64;
         let slot_idx = (r % sh.window) as usize;
         for dst in 0..k {
-            if dst == id {
-                continue;
-            }
-            let fifo = &mut st.fifos[dst];
-            if fifo.is_empty() {
+            if st.m.link_idle(dst) {
                 continue;
             }
             let mut ring = sh.inbound[dst].lock();
-            let slot = &mut ring[slot_idx];
-            let before = slot.len();
-            fifo.drain_round(sh.budget, slot);
-            delivered |= slot.len() > before;
+            let drained = st.m.drain(id, dst, r, run, &mut ring[slot_idx]);
             drop(ring);
-            if fifo.integrity_violated() {
-                sh.fail(EngineError::IntegrityViolation { src: id, dst, round: r });
-                exit(st, sh);
-                return true;
+            match drained {
+                Ok((any, pending)) => {
+                    delivered |= any;
+                    pending_total += pending;
+                }
+                Err(err) => return abort(st, sh, err),
             }
-            if fifo.is_down() {
-                sh.fail(EngineError::LinkDown { src: id, dst, round: r, retries: sh.max_retries });
-                exit(st, sh);
-                return true;
-            }
-            let pending = fifo.pending_bits();
-            st.max_backlog = st.max_backlog.max(pending);
-            pending_total += pending;
+        }
+        if sh.timed {
+            let at = id * sh.window as usize + slot_idx;
+            sh.published_at[at].store(sh.now_ns(), Ordering::Release);
         }
         sh.published[id].store(r + 1, Ordering::Release);
 
@@ -736,23 +579,16 @@ fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::
         // protocol's declared silent horizon. Publishing the horizon lets
         // peers execute rounds up to it without waiting for the (empty)
         // publishes. Monotone: horizons only ever grow. ---
-        if sh.relaxed {
-            let drained = pending_total == 0;
-            let horizon = if st.done || st.poisoned {
-                if drained {
-                    u64::MAX
-                } else {
-                    0
-                }
-            } else if drained {
-                match st.proto.quiet_until() {
+        if sh.relaxed && pending_total == 0 {
+            let horizon = if !st.m.running() {
+                u64::MAX
+            } else {
+                match st.m.quiet_until() {
                     // A horizon at or below the next round promises
                     // nothing the publish watermark doesn't already say.
                     Some(q) if q > r + 1 => q,
                     _ => 0,
                 }
-            } else {
-                0
             };
             if horizon > st.promise {
                 st.promise = horizon;
@@ -765,14 +601,8 @@ fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::
 
         // --- stall accounting: run_sync's per-round conjunction, split per
         // machine and joined through the per-round quiet counter. A quiet
-        // cluster waiting out a scheduled rejoin is not a deadlock (mirrors
-        // `run_sync`'s stall suppression; max_rounds still bounds the wait).
-        if sent == 0
-            && !became_done
-            && !delivered
-            && pending_total == 0
-            && !sh.recovering.as_ref().is_some_and(|rec| rec.pending_at(r))
-        {
+        // cluster waiting out a scheduled rejoin is not a deadlock. ---
+        if sent == 0 && !became_done && !delivered && pending_total == 0 && !run.rejoin_pending(r) {
             let slots = sh.quiet.len() as u64;
             let slot = &sh.quiet[(r % slots) as usize];
             let stalled = loop {
@@ -787,18 +617,8 @@ fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::
                 }
             };
             if stalled {
-                // Survivors deadlocked on a crashed peer report the crash,
-                // not the stall — mirroring `run_sync`.
-                let crashed = sh.crashed.lock();
-                let err = if crashed.is_empty() {
-                    EngineError::Stalled { round: r }
-                } else {
-                    crashed_error(&crashed, &sh.crash_rounds)
-                };
-                drop(crashed);
-                sh.fail(err);
-                exit(st, sh);
-                return true;
+                let lowest = sh.lowest_crashed.load(Ordering::Acquire);
+                return abort(st, sh, run.stalled((lowest != usize::MAX).then_some(lowest), r));
             }
         }
 
@@ -809,14 +629,27 @@ fn advance<P: Protocol>(id: MachineId, st: &mut MachineState<P>, sh: &Shared<P::
     }
 }
 
+/// Consume the rounds left through the final one (billing late arrivals;
+/// collection later drops any past it), then exit.
+fn wind_down<P: Protocol>(id: MachineId, st: &mut Slot<'_, P>, sh: &Shared<'_, P::Msg>) {
+    let fin = sh.final_round.load(Ordering::Acquire);
+    while st.round <= fin {
+        let r = st.round;
+        consume_round(id, st, sh, r);
+        st.discard_late(r);
+        st.round += 1;
+    }
+    exit(st, sh);
+}
+
 /// Move this round's staging slot into the machine's inbox (`append` keeps
 /// both allocations warm) and release the ring space. The slot holds every
-/// source's deliveries in arrival order; the caller's `(src, seq)` sort
-/// makes that order deterministic.
+/// source's deliveries in arrival order; the step's `(src, seq)` sort makes
+/// that order deterministic.
 fn consume_round<P: Protocol>(
     id: MachineId,
-    st: &mut MachineState<P>,
-    sh: &Shared<P::Msg>,
+    st: &mut Slot<'_, P>,
+    sh: &Shared<'_, P::Msg>,
     r: u64,
 ) {
     if r == 0 {
@@ -828,7 +661,16 @@ fn consume_round<P: Protocol>(
     sh.consumed[id].store(r, Ordering::Release);
 }
 
-fn exit<P: Protocol>(st: &mut MachineState<P>, sh: &Shared<P::Msg>) {
+/// Record `err` (the first error wins), shut the run down, and exit.
+fn abort<P: Protocol>(st: &mut Slot<'_, P>, sh: &Shared<'_, P::Msg>, err: EngineError) -> bool {
+    sh.error.lock().get_or_insert(err);
+    sh.abort.store(true, Ordering::Release);
+    sh.stop.store(true, Ordering::Release);
+    exit(st, sh);
+    true
+}
+
+fn exit<P: Protocol>(st: &mut Slot<'_, P>, sh: &Shared<'_, P::Msg>) {
     if !st.exited {
         st.exited = true;
         sh.exited_count.fetch_add(1, Ordering::AcqRel);
@@ -840,7 +682,12 @@ fn exit<P: Protocol>(st: &mut MachineState<P>, sh: &Shared<P::Msg>) {
 mod tests {
     use super::*;
     use crate::config::BandwidthMode;
+    use crate::ctx::Ctx;
     use crate::engine::run_sync;
+    use crate::engine::testkit::{
+        gossip, streams, CrashAwareGossip, PanicsOnRoundOne, WaitForever,
+    };
+    use crate::protocol::Step;
 
     /// Unit tests pin the worker count ≥ 2: the ambient pool of a small CI
     /// host would otherwise send every run down the degenerate
@@ -849,87 +696,40 @@ mod tests {
         NetConfig::new(k).with_event_workers(2)
     }
 
-    /// Everyone broadcasts its id; everyone outputs the sum of what it saw.
-    struct GossipSum {
-        acc: u64,
-        got: usize,
-    }
-    impl Protocol for GossipSum {
-        type Msg = u64;
-        type Output = u64;
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            if ctx.round() == 0 {
-                ctx.broadcast(ctx.id() as u64);
-                return Step::Continue;
-            }
-            for e in ctx.inbox() {
-                self.acc += e.msg;
-                self.got += 1;
-            }
-            if self.got == ctx.k() - 1 {
-                Step::Done(self.acc)
-            } else {
-                Step::Continue
-            }
-        }
+    /// Run `mk()` under `cfg` on sync and on the event engine, assert the
+    /// outputs and metrics identical, and return both outcomes.
+    fn against_sync<P: Protocol>(
+        cfg: &NetConfig,
+        mk: impl Fn() -> Vec<P>,
+    ) -> (RunOutcome<P::Output>, RunOutcome<P::Output>)
+    where
+        P::Output: PartialEq + std::fmt::Debug,
+    {
+        let want = run_sync(cfg, mk()).unwrap();
+        let got = run_event(cfg, mk()).unwrap();
+        assert_eq!(got.outputs, want.outputs);
+        assert_eq!(got.metrics, want.metrics);
+        (want, got)
     }
 
     #[test]
     fn matches_sync_engine_exactly() {
         let cfg = cfg(8).with_seed(5);
-        let mk = || (0..8).map(|_| GossipSum { acc: 0, got: 0 }).collect::<Vec<_>>();
-        let a = run_sync(&cfg, mk()).unwrap();
-        let b = run_event(&cfg, mk()).unwrap();
-        assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.metrics, b.metrics);
-    }
-
-    /// Machine 0 streams values to machine 1 over a narrow link.
-    struct Stream {
-        n: u64,
-        received: u64,
-    }
-    impl Protocol for Stream {
-        type Msg = u64;
-        type Output = u64;
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            match ctx.id() {
-                0 => {
-                    if ctx.round() == 0 {
-                        for v in 0..self.n {
-                            ctx.send(1, v);
-                        }
-                    }
-                    Step::Done(0)
-                }
-                _ => {
-                    self.received += ctx.inbox().len() as u64;
-                    if self.received == self.n {
-                        Step::Done(self.received)
-                    } else {
-                        Step::Continue
-                    }
-                }
-            }
-        }
+        against_sync(&cfg, || gossip(8));
     }
 
     /// A done sender keeps draining its backlog: the narrow link forces 32
     /// transport rounds long after machine 0 produced its output, and the
-    /// round count must match the lockstep engines bit for bit.
+    /// round count must match the lockstep engine bit for bit.
     #[test]
     fn bandwidth_rounds_and_backlog_match_sync() {
         let cfg = cfg(2).with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 });
-        let mk = || vec![Stream { n: 64, received: 0 }, Stream { n: 64, received: 0 }];
-        let a = run_sync(&cfg, mk()).unwrap();
-        let b = run_event(&cfg, mk()).unwrap();
-        assert_eq!(b.metrics.rounds, 32);
-        assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.metrics, b.metrics);
+        let (_, got) = against_sync(&cfg, || streams(64));
+        assert_eq!(got.metrics.rounds, 32);
     }
 
     /// Late deliveries to a finished machine are counted exactly as the
-    /// lockstep engines count them, even though the event engine's machines
+    /// lockstep engine counts them, even though the event engine's machines
     /// consume them out of lockstep (and may speculate past the final
     /// round).
     struct EarlyQuit {
@@ -975,21 +775,9 @@ mod tests {
     #[test]
     fn delivered_after_done_matches_sync() {
         let cfg = cfg(3).with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 });
-        let mk = || (0..3).map(|_| EarlyQuit { n: 16, received: 0 }).collect::<Vec<_>>();
-        let a = run_sync(&cfg, mk()).unwrap();
-        let b = run_event(&cfg, mk()).unwrap();
-        assert_eq!(a.outputs, b.outputs);
-        assert!(a.metrics.delivered_after_done > 0, "test must exercise late deliveries");
-        assert_eq!(a.metrics, b.metrics);
-    }
-
-    struct WaitForever;
-    impl Protocol for WaitForever {
-        type Msg = ();
-        type Output = ();
-        fn on_round(&mut self, _ctx: &mut Ctx<'_, ()>) -> Step<()> {
-            Step::Continue
-        }
+        let (want, _) =
+            against_sync(&cfg, || (0..3).map(|_| EarlyQuit { n: 16, received: 0 }).collect());
+        assert!(want.metrics.delivered_after_done > 0, "test must exercise late deliveries");
     }
 
     #[test]
@@ -1005,26 +793,8 @@ mod tests {
         let cfg = cfg(2)
             .with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 })
             .with_max_rounds(3);
-        let err =
-            run_event(&cfg, vec![Stream { n: 64, received: 0 }, Stream { n: 64, received: 0 }])
-                .unwrap_err();
+        let err = run_event(&cfg, streams(64)).unwrap_err();
         assert_eq!(err, EngineError::MaxRounds { limit: 3 });
-    }
-
-    struct PanicsOnRoundOne;
-    impl Protocol for PanicsOnRoundOne {
-        type Msg = u64;
-        type Output = u64;
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            if ctx.id() == 1 {
-                panic!("intentional test panic");
-            }
-            if ctx.round() == 0 {
-                ctx.send(1, 7);
-                return Step::Continue;
-            }
-            Step::Done(0)
-        }
     }
 
     #[test]
@@ -1076,12 +846,11 @@ mod tests {
     #[test]
     fn worker_count_and_window_are_pure_wall_clock_knobs() {
         let base = NetConfig::new(6).with_seed(3);
-        let mk = || (0..6).map(|_| GossipSum { acc: 0, got: 0 }).collect::<Vec<_>>();
-        let want = run_sync(&base, mk()).unwrap();
+        let want = run_sync(&base, gossip(6)).unwrap();
         for workers in [1, 2, 6, 16] {
             for window in [2, 3, 8] {
                 let cfg = base.clone().with_event_workers(workers).with_event_window(window);
-                let got = run_event(&cfg, mk()).unwrap();
+                let got = run_event(&cfg, gossip(6)).unwrap();
                 assert_eq!(got.outputs, want.outputs, "workers {workers}, window {window}");
                 assert_eq!(got.metrics, want.metrics, "workers {workers}, window {window}");
             }
@@ -1100,14 +869,10 @@ mod tests {
     #[test]
     fn relaxed_matches_sync_for_promiseless_protocols() {
         let cfg = relaxed(8).with_seed(5);
-        let mk = || (0..8).map(|_| GossipSum { acc: 0, got: 0 }).collect::<Vec<_>>();
-        let want = run_sync(&cfg, mk()).unwrap();
-        let got = run_event(&cfg, mk()).unwrap();
-        assert_eq!(want.outputs, got.outputs);
-        assert_eq!(want.metrics, got.metrics);
+        let (want, got) = against_sync(&cfg, || gossip(8));
         assert!(got.skew.tracked(), "relaxed multi-worker runs must record skew");
         assert_eq!(got.skew.max_skew_per_machine.len(), 8);
-        assert!(!want.skew.tracked(), "lockstep engines report no skew");
+        assert!(!want.skew.tracked(), "the lockstep engine reports no skew");
     }
 
     /// Exact-mode runs must not report skew — the readiness rule forbids
@@ -1115,8 +880,7 @@ mod tests {
     #[test]
     fn exact_mode_reports_no_skew() {
         let cfg = cfg(4).with_seed(2);
-        let out = run_event(&cfg, (0..4).map(|_| GossipSum { acc: 0, got: 0 }).collect::<Vec<_>>())
-            .unwrap();
+        let out = run_event(&cfg, gossip(4)).unwrap();
         assert!(!out.skew.tracked());
         assert_eq!(out.skew, SkewMetrics::default());
     }
@@ -1377,12 +1141,8 @@ mod tests {
         let mk = || {
             vec![LateWakeup { horizon: 0, pinged: false }, LateWakeup { horizon: 6, pinged: false }]
         };
-        let cfg = relaxed(2);
-        let want = run_sync(&cfg, mk()).unwrap();
+        let (want, _) = against_sync(&relaxed(2), mk);
         assert_eq!(want.outputs, vec![7, 6], "pong sent at the horizon, received next round");
-        let got = run_event(&cfg, mk()).unwrap();
-        assert_eq!(want.outputs, got.outputs);
-        assert_eq!(want.metrics, got.metrics);
     }
 
     /// Late deliveries to finished machines are counted identically under
@@ -1391,24 +1151,20 @@ mod tests {
     #[test]
     fn relaxed_delivered_after_done_matches_sync() {
         let cfg = relaxed(3).with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 });
-        let mk = || (0..3).map(|_| EarlyQuit { n: 16, received: 0 }).collect::<Vec<_>>();
-        let want = run_sync(&cfg, mk()).unwrap();
+        let (want, _) =
+            against_sync(&cfg, || (0..3).map(|_| EarlyQuit { n: 16, received: 0 }).collect());
         assert!(want.metrics.delivered_after_done > 0);
-        let got = run_event(&cfg, mk()).unwrap();
-        assert_eq!(want.outputs, got.outputs);
-        assert_eq!(want.metrics, got.metrics);
     }
 
     /// Worker count and window stay pure wall-clock knobs in relaxed mode.
     #[test]
     fn relaxed_workers_and_window_do_not_change_outcomes() {
         let base = NetConfig::new(6).with_seed(3).with_delivery(DeliveryMode::Relaxed);
-        let mk = || (0..6).map(|_| GossipSum { acc: 0, got: 0 }).collect::<Vec<_>>();
-        let want = run_sync(&base, mk()).unwrap();
+        let want = run_sync(&base, gossip(6)).unwrap();
         for workers in [2, 6, 16] {
             for window in [2, 3, 8] {
                 let cfg = base.clone().with_event_workers(workers).with_event_window(window);
-                let got = run_event(&cfg, mk()).unwrap();
+                let got = run_event(&cfg, gossip(6)).unwrap();
                 assert_eq!(got.outputs, want.outputs, "workers {workers}, window {window}");
                 assert_eq!(got.metrics, want.metrics, "workers {workers}, window {window}");
             }
@@ -1423,9 +1179,8 @@ mod tests {
     fn straggler_injection_changes_nothing_but_wall_clock() {
         let base = cfg(4).with_seed(7);
         let slow = base.clone().with_faults(FaultPlan::default().with_straggler(2, 3));
-        let mk = || (0..4).map(|_| GossipSum { acc: 0, got: 0 }).collect::<Vec<_>>();
-        let want = run_sync(&base, mk()).unwrap();
-        let got = run_event(&slow, mk()).unwrap();
+        let want = run_sync(&base, gossip(4)).unwrap();
+        let got = run_event(&slow, gossip(4)).unwrap();
         assert_eq!(want.outputs, got.outputs);
         assert_eq!(want.metrics, got.metrics);
         assert!(!got.faults.any(), "a straggler is not a fault the answer can observe");
@@ -1436,40 +1191,8 @@ mod tests {
         // Machine 0 crashes before sending anything; machine 1 waits for a
         // stream that never comes.
         let cfg = cfg(2).with_faults(FaultPlan::default().with_crash(0, 0));
-        let err = run_event(&cfg, vec![Stream { n: 4, received: 0 }, Stream { n: 4, received: 0 }])
-            .unwrap_err();
+        let err = run_event(&cfg, streams(4)).unwrap_err();
         assert_eq!(err, EngineError::Crashed { machine: 0, round: 0 });
-    }
-
-    /// Gossip that tolerates crashed peers via [`Ctx::crashed`] and
-    /// salvages a sentinel output — parity with `run_sync`.
-    struct CrashAwareGossip {
-        acc: u64,
-        heard: Vec<bool>,
-    }
-    impl Protocol for CrashAwareGossip {
-        type Msg = u64;
-        type Output = u64;
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            if ctx.round() == 0 {
-                ctx.broadcast(ctx.id() as u64);
-                return Step::Continue;
-            }
-            for e in ctx.inbox() {
-                self.acc += e.msg;
-                self.heard[e.src] = true;
-            }
-            let id = ctx.id();
-            let settled = (0..ctx.k()).all(|p| p == id || self.heard[p] || ctx.crashed(p));
-            if settled {
-                Step::Done(self.acc)
-            } else {
-                Step::Continue
-            }
-        }
-        fn on_crash(&mut self) -> Option<u64> {
-            Some(u64::MAX)
-        }
     }
 
     #[test]
@@ -1479,11 +1202,8 @@ mod tests {
         let mk = || {
             (0..k).map(|_| CrashAwareGossip { acc: 0, heard: vec![false; k] }).collect::<Vec<_>>()
         };
-        let a = run_sync(&cfg, mk()).unwrap();
-        let b = run_event(&cfg, mk()).unwrap();
-        assert_eq!(a.outputs, b.outputs);
+        let (a, b) = against_sync(&cfg, mk);
         assert_eq!(a.outputs, vec![1, 0, u64::MAX]);
-        assert_eq!(a.metrics, b.metrics);
         assert_eq!(a.faults, b.faults);
         assert_eq!(b.faults.crashed, vec![2]);
     }
@@ -1493,11 +1213,7 @@ mod tests {
         let cfg = cfg(2)
             .with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 })
             .with_faults(FaultPlan::default().with_loss(200, 64).with_fault_seed(5));
-        let mk = || vec![Stream { n: 64, received: 0 }, Stream { n: 64, received: 0 }];
-        let a = run_sync(&cfg, mk()).unwrap();
-        let b = run_event(&cfg, mk()).unwrap();
-        assert_eq!(a.outputs, b.outputs);
-        assert_eq!(a.metrics, b.metrics);
+        let (a, b) = against_sync(&cfg, || streams(64));
         assert_eq!(a.faults, b.faults, "loss process must be keyed identically");
         assert!(b.faults.dropped_messages > 0);
     }
@@ -1507,8 +1223,7 @@ mod tests {
         let cfg = cfg(2)
             .with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 })
             .with_faults(FaultPlan::default().with_loss(1000, 2));
-        let err = run_event(&cfg, vec![Stream { n: 4, received: 0 }, Stream { n: 4, received: 0 }])
-            .unwrap_err();
+        let err = run_event(&cfg, streams(4)).unwrap_err();
         assert_eq!(err, EngineError::LinkDown { src: 0, dst: 1, round: 1, retries: 2 });
     }
 

@@ -4,19 +4,21 @@
 //! protocols whose behavior is a deterministic function of state, inbox, and
 //! the private RNG — produce identical outputs, round counts, and message
 //! counts. [`run_sync`] is sequential and scales to thousands of simulated
-//! machines; [`run_threaded`] runs one OS thread per machine with
-//! barrier-synchronized rounds; [`run_event`] drops the global barrier for
-//! per-link dependency scheduling on a small worker pool, letting fast
-//! machines run rounds ahead of slow ones — the engine to use for wall-clock
-//! measurements of batched serving.
+//! machines; [`run_event`] drops the global round barrier for per-link
+//! dependency scheduling on a small worker pool, letting fast machines run
+//! rounds ahead of slow ones — the engine to use for wall-clock
+//! measurements of batched serving. Both are schedulers over one
+//! per-machine step driver, so a machine-round means the same thing in
+//! each.
 
+mod driver;
 mod event;
 mod sync;
-mod threaded;
+#[cfg(test)]
+mod testkit;
 
 pub use event::run_event;
 pub use sync::run_sync;
-pub use threaded::run_threaded;
 
 use std::time::Duration;
 
@@ -28,7 +30,7 @@ use crate::metrics::{AuditMetrics, FaultMetrics, RecoveryMetrics, RunMetrics, Sk
 use crate::protocol::Protocol;
 
 /// Environment variable that, when set, overrides every [`Engine::run`]
-/// call's engine choice — `sync`, `threaded`, `event`, or `auto`. Used by CI
+/// call's engine choice — `sync`, `event`, or `auto`. Used by CI
 /// to force the whole test suite through one engine.
 pub const ENGINE_ENV: &str = "KNN_ENGINE";
 
@@ -53,11 +55,11 @@ pub struct RunOutcome<T> {
     pub metrics: RunMetrics,
     /// Pipelining evidence of a relaxed event run (max machine skew,
     /// promise counters); empty — [`SkewMetrics::tracked`] is false — for
-    /// the lockstep engines and exact event runs.
+    /// the sync engine and exact event runs.
     pub skew: SkewMetrics,
-    /// Wall-clock time of the run. Physically meaningful only for the
-    /// threaded and event engines; for the sync engine it is simulation CPU
-    /// time.
+    /// Wall-clock time of the run. Physically meaningful for the event
+    /// engine; for the sync engine it is simulation CPU time (plus the
+    /// slept [`NetConfig::round_latency`], if any).
     pub wall: Duration,
     /// Realized faults of the run (crashed machines, dropped and
     /// retransmitted traffic from the [`crate::config::FaultPlan`]). Like
@@ -84,12 +86,10 @@ pub struct RunOutcome<T> {
 pub enum Engine {
     /// Deterministic sequential lockstep simulation.
     Sync,
-    /// One OS thread per machine, barrier-synchronized rounds.
-    Threaded,
     /// Per-link dependency scheduling on a worker pool — no global barrier;
     /// machines may run up to [`NetConfig::event_window`] rounds apart.
     Event,
-    /// Pick sync / threaded / event per run from the cluster size, the
+    /// Pick sync or event per run from the cluster size, the
     /// per-round payload budget, and the ambient pool size (see
     /// [`Engine::resolve`]).
     Auto,
@@ -100,8 +100,7 @@ impl Engine {
     /// engines resolve to themselves.
     ///
     /// The policy, in order:
-    /// 1. a synthetic [`NetConfig::round_latency`] needs lockstep rounds on
-    ///    real threads → `Threaded`;
+    /// 1. more machines than the event engine supports (65 535) → `Sync`;
     /// 2. an effective pool of one worker (`min(rayon pool, k)`) cannot
     ///    parallelize → `Sync`;
     /// 3. rounds with little potential work — fewer than
@@ -112,8 +111,8 @@ impl Engine {
     pub fn resolve(self, cfg: &NetConfig) -> Engine {
         match self {
             Engine::Auto => {
-                if !cfg.round_latency.is_zero() {
-                    return Engine::Threaded;
+                if cfg.k > event::EVENT_MAX_MACHINES {
+                    return Engine::Sync;
                 }
                 let pool =
                     cfg.event_workers.unwrap_or_else(rayon::current_num_threads).min(cfg.k.max(1));
@@ -138,7 +137,6 @@ impl Engine {
     pub fn name(&self) -> &'static str {
         match self {
             Engine::Sync => "sync",
-            Engine::Threaded => "threaded",
             Engine::Event => "event",
             Engine::Auto => "auto",
         }
@@ -175,7 +173,6 @@ impl Engine {
         };
         match engine.resolve(cfg) {
             Engine::Sync => run_sync(cfg, protocols),
-            Engine::Threaded => run_threaded(cfg, protocols),
             Engine::Event => run_event(cfg, protocols),
             Engine::Auto => unreachable!("resolve() always returns a concrete engine"),
         }
@@ -200,11 +197,10 @@ impl std::str::FromStr for Engine {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.trim().to_ascii_lowercase().as_str() {
             "sync" => Ok(Engine::Sync),
-            "threaded" => Ok(Engine::Threaded),
             "event" => Ok(Engine::Event),
             "auto" => Ok(Engine::Auto),
-            "" => Err("empty engine name: expected sync|threaded|event|auto".to_string()),
-            other => Err(format!("unknown engine {other:?}: expected sync|threaded|event|auto")),
+            "" => Err("empty engine name: expected sync|event|auto".to_string()),
+            other => Err(format!("unknown engine {other:?}: expected sync|event|auto")),
         }
     }
 }
@@ -251,18 +247,21 @@ fn env_delivery() -> Result<Option<DeliveryMode>, EngineError> {
 mod tests {
     use super::*;
     use crate::config::BandwidthMode;
+    use crate::engine::event::EVENT_MAX_MACHINES;
 
     #[test]
     fn names_round_trip_through_fromstr() {
-        for e in [Engine::Sync, Engine::Threaded, Engine::Event, Engine::Auto] {
+        for e in [Engine::Sync, Engine::Event, Engine::Auto] {
             assert_eq!(e.name().parse::<Engine>().unwrap(), e);
         }
+        let err = "threaded".parse::<Engine>().unwrap_err();
+        assert!(err.contains("sync|event|auto"), "threaded is no engine name: {err}");
         assert_eq!(" Event ".parse::<Engine>().unwrap(), Engine::Event);
         assert_eq!("SYNC\n".parse::<Engine>().unwrap(), Engine::Sync);
         let err = "barrier".parse::<Engine>().unwrap_err();
-        assert!(err.contains("sync|threaded|event|auto"), "error must list the variants: {err}");
+        assert!(err.contains("sync|event|auto"), "error must list the variants: {err}");
         let err = "  ".parse::<Engine>().unwrap_err();
-        assert!(err.contains("sync|threaded|event|auto"), "empty input lists variants too: {err}");
+        assert!(err.contains("sync|event|auto"), "empty input lists variants too: {err}");
     }
 
     #[test]
@@ -282,15 +281,17 @@ mod tests {
 
     #[test]
     fn invalid_engine_env_is_a_typed_error() {
-        let err = parse_env_override::<Engine>(ENGINE_ENV, "barrier").unwrap_err();
-        match &err {
-            EngineError::BadEnvOverride { var, reason } => {
-                assert_eq!(*var, ENGINE_ENV);
-                assert!(reason.contains("sync|threaded|event|auto"), "{reason}");
+        for raw in ["barrier", "threaded"] {
+            let err = parse_env_override::<Engine>(ENGINE_ENV, raw).unwrap_err();
+            match &err {
+                EngineError::BadEnvOverride { var, reason } => {
+                    assert_eq!(*var, ENGINE_ENV);
+                    assert!(reason.contains("sync|event|auto"), "{reason}");
+                }
+                other => panic!("expected BadEnvOverride, got {other:?}"),
             }
-            other => panic!("expected BadEnvOverride, got {other:?}"),
+            assert!(err.to_string().contains("KNN_ENGINE"), "{err}");
         }
-        assert!(err.to_string().contains("KNN_ENGINE"), "{err}");
     }
 
     #[test]
@@ -318,7 +319,7 @@ mod tests {
             DeliveryMode::Relaxed
         );
         // Explicit engines honor the request regardless of opt-in.
-        for engine in [Engine::Sync, Engine::Threaded, Engine::Event] {
+        for engine in [Engine::Sync, Engine::Event] {
             assert_eq!(
                 effective_delivery(engine, DeliveryMode::Relaxed, false),
                 DeliveryMode::Relaxed
@@ -334,17 +335,23 @@ mod tests {
     #[test]
     fn concrete_engines_resolve_to_themselves() {
         let cfg = NetConfig::new(8);
-        for e in [Engine::Sync, Engine::Threaded, Engine::Event] {
+        for e in [Engine::Sync, Engine::Event] {
             assert_eq!(e.resolve(&cfg), e);
         }
     }
 
     #[test]
     fn auto_policy_picks_by_latency_pool_and_payload() {
-        // Latency modeling forces lockstep threads.
+        // Latency modeling runs on either engine; it does not steer Auto.
         let latency =
             NetConfig::new(8).with_round_latency(Duration::from_millis(1)).with_event_workers(8);
-        assert_eq!(Engine::Auto.resolve(&latency), Engine::Threaded);
+        assert_eq!(Engine::Auto.resolve(&latency), Engine::Event);
+        // Past the event engine's machine limit, Auto stays sequential
+        // (resolving is pure: nothing is allocated for the 65 536 machines).
+        let huge = NetConfig::new(EVENT_MAX_MACHINES + 1).with_event_workers(4);
+        assert_eq!(Engine::Auto.resolve(&huge), Engine::Sync);
+        let largest = NetConfig::new(EVENT_MAX_MACHINES).with_event_workers(4);
+        assert_eq!(Engine::Auto.resolve(&largest), Engine::Event);
         // One effective worker cannot parallelize.
         let solo = NetConfig::new(8).with_event_workers(1);
         assert_eq!(Engine::Auto.resolve(&solo), Engine::Sync);

@@ -1,60 +1,12 @@
 //! Deterministic sequential lockstep engine.
 
-use std::time::Instant;
-
-use rand::rngs::StdRng;
-
 use crate::config::NetConfig;
-use crate::ctx::{AdversaryCtx, Ctx};
+use crate::engine::driver::{self, Machine, Run, Schedule, Scheduled, Status};
 use crate::engine::RunOutcome;
 use crate::error::EngineError;
-use crate::link::{IntegrityConfig, LinkFifo, LossConfig};
 use crate::message::Envelope;
-use crate::metrics::{AuditMetrics, FaultMetrics, RunMetrics};
-use crate::payload::Payload;
-use crate::protocol::{Protocol, Step};
-use crate::recovery;
-use crate::rng::machine_rng;
-
-/// One link `src → dst`, lossy when the fault plan says so and
-/// integrity-armed when an [`crate::config::AdversaryPlan`] is active. All
-/// three engines build their links through this, so the loss and corruption
-/// processes are keyed identically everywhere.
-pub(crate) fn build_link<M>(cfg: &NetConfig, src: usize, dst: usize) -> LinkFifo<M> {
-    let link = if cfg.faults.loss_per_mille == 0 {
-        LinkFifo::default()
-    } else {
-        LinkFifo::lossy(LossConfig {
-            per_mille: cfg.faults.loss_per_mille,
-            max_retries: cfg.faults.max_retries,
-            seed: cfg.faults.fault_seed,
-            src,
-            dst,
-        })
-    };
-    if cfg.adversary.is_empty() {
-        link
-    } else {
-        link.with_integrity(IntegrityConfig {
-            corrupt_per_mille: cfg.adversary.corrupt_per_mille(src, dst),
-            seed: cfg.adversary.adversary_seed,
-            src,
-            dst,
-        })
-    }
-}
-
-/// Per-machine crash horizons from the fault plan (`u64::MAX`: never).
-pub(crate) fn crash_horizons(cfg: &NetConfig) -> Vec<u64> {
-    (0..cfg.k).map(|i| cfg.faults.crash_round(i)).collect()
-}
-
-/// The `Crashed` error every engine reports identically: the lowest
-/// crashed machine id, with its scheduled crash round.
-pub(crate) fn crashed_error(crashed: &[usize], crash_rounds: &[u64]) -> EngineError {
-    let machine = *crashed.iter().min().expect("at least one crashed machine");
-    EngineError::Crashed { machine, round: crash_rounds[machine] }
-}
+use crate::metrics::SkewMetrics;
+use crate::protocol::Protocol;
 
 /// Execute one protocol instance per machine until every machine has
 /// produced its output.
@@ -65,6 +17,8 @@ pub(crate) fn crashed_error(crashed: &[usize], crash_rounds: &[u64]) -> EngineEr
 /// bits toward the next round. The run is a pure function of
 /// `(protocols, cfg.seed)` — useful both for tests and for exact round and
 /// message accounting at machine counts far beyond the host's core count.
+/// A nonzero [`NetConfig::round_latency`] is slept once per round, so the
+/// wall clock models a network with that per-round delay.
 ///
 /// # Panics
 /// If `protocols.len() != cfg.k`, or if bandwidth is `Enforce { 0 }`.
@@ -72,238 +26,113 @@ pub fn run_sync<P: Protocol>(
     cfg: &NetConfig,
     protocols: Vec<P>,
 ) -> Result<RunOutcome<P::Output>, EngineError> {
-    recovery::validate(cfg)?;
-    if cfg.recovery.is_empty() {
-        return sync_core(cfg, protocols, None);
-    }
-    let (wrapped, state) = recovery::wrap(cfg, protocols);
-    recovery::finish(sync_core(cfg, wrapped, Some(&state)), &state)
+    driver::run(cfg, protocols, &Lockstep)
 }
 
-/// The lockstep loop itself, generic over whether a
-/// [`recovery::RecoveryShared`] is tracking an active rejoin plan (it
-/// suppresses the stall error while a scheduled rejoin is still ahead).
-fn sync_core<P: Protocol>(
-    cfg: &NetConfig,
-    mut protocols: Vec<P>,
-    recovering: Option<&recovery::RecoveryShared>,
-) -> Result<RunOutcome<P::Output>, EngineError> {
-    let k = protocols.len();
-    assert_eq!(k, cfg.k, "protocol count {} != cfg.k {}", k, cfg.k);
-    let budget = cfg.bandwidth.budget();
-    assert!(budget >= 1, "bandwidth must allow at least 1 bit per round");
+/// The lockstep schedule: machines in id order, then every link, once per
+/// round.
+pub(crate) struct Lockstep;
 
-    let start = Instant::now();
-    let mut metrics = RunMetrics::new(k);
-    let mut rngs: Vec<StdRng> = (0..k).map(|i| machine_rng(cfg.seed, i)).collect();
-    let mut seqs = vec![0u64; k];
-    let mut inboxes: Vec<Vec<Envelope<P::Msg>>> = (0..k).map(|_| Vec::with_capacity(k)).collect();
-    let mut outputs: Vec<Option<P::Output>> = (0..k).map(|_| None).collect();
-    // Dense link lattice: slot `dst * k + src` holds the FIFO of the ordered
-    // link `src → dst`. Allocated once per run (a `VecDeque::new` does not
-    // allocate), so the per-round transport loop touches no allocator and no
-    // tree/hash nodes; per-destination delivery walks sources in ascending
-    // order — the same deterministic inbox order the threaded engine
-    // recreates by sorting. Memory is O(k²) FIFO headers (~40 B each).
-    let mut links: Vec<LinkFifo<P::Msg>> =
-        (0..k * k).map(|idx| build_link(cfg, idx % k, idx / k)).collect();
-    let mut outbox: Vec<Envelope<P::Msg>> = Vec::with_capacity(k);
-    let crash_rounds = crash_horizons(cfg);
-    let rejoin_rounds = recovery::rejoin_horizons(cfg);
-    let adversary = AdversaryCtx::from_plan(&cfg.adversary, k);
-    // Halted = produced an output OR crashed: either way the machine is no
-    // longer scheduled and its late arrivals are discarded.
-    let mut halted = vec![false; k];
-    let mut crashed: Vec<usize> = Vec::new();
-    let mut done_count = 0usize;
-    let mut round: u64 = 0;
+impl Schedule for Lockstep {
+    fn schedule<'l, P: Protocol>(
+        &self,
+        run: &Run<'_>,
+        mut machines: Vec<Machine<'l, P>>,
+    ) -> Result<Scheduled<'l, P>, EngineError> {
+        let k = run.k;
+        let latency = run.cfg.round_latency;
+        // Allocated once per run, so the per-round loop touches no
+        // allocator.
+        let mut inboxes: Vec<Vec<Envelope<P::Msg>>> =
+            (0..k).map(|_| Vec::with_capacity(k)).collect();
+        let mut outbox: Vec<Envelope<P::Msg>> = Vec::with_capacity(k);
+        let mut late = 0u64;
+        let mut done_count = 0usize;
+        let mut round: u64 = 0;
 
-    loop {
-        let mut sent_any = false;
-        let mut progressed = false;
-        for i in 0..k {
-            if halted[i] {
-                if !inboxes[i].is_empty() {
-                    metrics.delivered_after_done += inboxes[i].len() as u64;
-                    inboxes[i].clear();
+        loop {
+            if !latency.is_zero() {
+                std::thread::sleep(latency);
+            }
+            let mut sent_any = false;
+            let mut progressed = false;
+            for (i, (m, inbox)) in machines.iter_mut().zip(&mut inboxes).enumerate() {
+                if m.running() {
+                    match m.step(i, round, inbox, &mut outbox, run) {
+                        Status::Running => {}
+                        Status::Done | Status::Crashed => {
+                            done_count += 1;
+                            progressed = true;
+                        }
+                        Status::Panicked => return Err(EngineError::WorkerPanic { machine: i }),
+                    }
+                    sent_any |= m.send(&mut outbox) > 0;
                 }
-                continue;
+                // What a step did not consume — everything, for a halted or
+                // just-crashed machine — arrived after its owner was done.
+                late += inbox.len() as u64;
+                inbox.clear();
             }
-            if round >= crash_rounds[i] {
-                // Fail-stop: the machine never executes this round. Its
-                // salvage hook may still account for its output; messages
-                // delivered to the corpse count as late.
-                outputs[i] = protocols[i].on_crash();
-                crashed.push(i);
-                halted[i] = true;
-                done_count += 1;
-                progressed = true;
-                if !inboxes[i].is_empty() {
-                    metrics.delivered_after_done += inboxes[i].len() as u64;
-                    inboxes[i].clear();
+
+            if done_count == k {
+                break;
+            }
+
+            // Transport: each busy link drains one round of budget; idle
+            // links cost one emptiness check. Destinations outer, sources
+            // inner: the first failing link of a round is reported in that
+            // order, and each inbox fills in ascending source order.
+            let mut delivered_any = false;
+            let mut backlog_bits = 0u64;
+            for (dst, inbox) in inboxes.iter_mut().enumerate() {
+                for (src, m) in machines.iter_mut().enumerate() {
+                    if m.link_idle(dst) {
+                        continue;
+                    }
+                    let (delivered, pending) = m.drain(src, dst, round, run, inbox)?;
+                    delivered_any |= delivered;
+                    backlog_bits += pending;
                 }
-                continue;
             }
-            // Keys (src, seq) are unique per delivery, so stability buys
-            // nothing — unstable sort avoids the temp-buffer allocation.
-            inboxes[i].sort_unstable_by_key(|e| (e.src, e.seq));
-            let step = {
-                let mut ctx = Ctx {
-                    id: i,
-                    k,
-                    round,
-                    inbox: &inboxes[i],
-                    outbox: &mut outbox,
-                    rng: &mut rngs[i],
-                    next_seq: &mut seqs[i],
-                    crash_rounds: &crash_rounds,
-                    rejoin_rounds: &rejoin_rounds,
-                    adversary: adversary.as_ref(),
-                };
-                protocols[i].on_round(&mut ctx)
-            };
-            inboxes[i].clear();
-            for env in outbox.drain(..) {
-                let bits = env.msg.size_bits().max(1);
-                metrics.on_send(i, bits, env.msg.mux_tag());
-                links[env.dst * k + env.src].push(env, bits);
-                sent_any = true;
+
+            if !sent_any
+                && !delivered_any
+                && !progressed
+                && backlog_bits == 0
+                && !run.rejoin_pending(round)
+            {
+                let crashed = machines.iter().position(Machine::crashed);
+                return Err(run.stalled(crashed, round));
             }
-            if let Step::Done(out) = step {
-                outputs[i] = Some(out);
-                halted[i] = true;
-                done_count += 1;
-                progressed = true;
+            round += 1;
+            if round > run.cfg.max_rounds {
+                return Err(EngineError::MaxRounds { limit: run.cfg.max_rounds });
             }
         }
 
-        if done_count == k {
-            break;
-        }
-
-        // Transport: each busy link drains one round of budget; idle links
-        // cost one emptiness check.
-        let mut delivered_any = false;
-        let mut backlog_bits = 0u64;
-        for (dst, inbox) in inboxes.iter_mut().enumerate() {
-            let before = inbox.len();
-            for (src, link) in links[dst * k..(dst + 1) * k].iter_mut().enumerate() {
-                if link.is_empty() {
-                    continue;
-                }
-                link.drain_round(budget, inbox);
-                if link.integrity_violated() {
-                    return Err(EngineError::IntegrityViolation { src, dst, round });
-                }
-                if link.is_down() {
-                    return Err(EngineError::LinkDown {
-                        src,
-                        dst,
-                        round,
-                        retries: cfg.faults.max_retries,
-                    });
-                }
-                let pending = link.pending_bits();
-                metrics.max_link_backlog_bits = metrics.max_link_backlog_bits.max(pending);
-                backlog_bits += pending;
-            }
-            delivered_any |= inbox.len() > before;
-        }
-
-        if !sent_any
-            && !delivered_any
-            && !progressed
-            && backlog_bits == 0
-            // A quiet cluster waiting out a scheduled rejoin is not a
-            // deadlock: the rejoining machine's deferred sends arrive once
-            // its rejoin round comes (max_rounds still bounds the wait). A
-            // *failed* rejoin clears the pending flag, so its recorded
-            // error surfaces through this very stall.
-            && !recovering.is_some_and(|rec| rec.pending_at(round))
-        {
-            // Survivors deadlocked waiting for a crashed peer's messages:
-            // report the crash, not the stall, so callers know a retry over
-            // the survivors can succeed.
-            if !crashed.is_empty() {
-                return Err(crashed_error(&crashed, &crash_rounds));
-            }
-            return Err(EngineError::Stalled { round });
-        }
-        round += 1;
-        if round > cfg.max_rounds {
-            return Err(EngineError::MaxRounds { limit: cfg.max_rounds });
-        }
+        Ok(Scheduled {
+            machines,
+            rounds: round,
+            delivered_after_done: late,
+            skew: SkewMetrics::default(),
+        })
     }
-
-    // A crashed machine whose salvage hook declined leaves a hole no output
-    // can fill: collection fails with the (deterministic) crash report.
-    if outputs.iter().any(|o| o.is_none()) {
-        return Err(crashed_error(&crashed, &crash_rounds));
-    }
-
-    metrics.rounds = round;
-    crashed.sort_unstable();
-    let mut faults = FaultMetrics { crashed, ..Default::default() };
-    let mut audit = AuditMetrics::default();
-    for link in &links {
-        faults.dropped_messages += link.dropped();
-        faults.retransmitted_bits += link.retransmitted_bits();
-        audit.digests_verified += link.digests_verified();
-    }
-    Ok(RunOutcome {
-        outputs: outputs.into_iter().map(|o| o.expect("all machines done")).collect(),
-        metrics,
-        skew: crate::metrics::SkewMetrics::default(),
-        wall: start.elapsed(),
-        faults,
-        recovery: crate::metrics::RecoveryMetrics::default(),
-        audit,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::BandwidthMode;
-
-    /// Machine 0 streams `n` 64-bit values to machine 1.
-    struct Stream {
-        n: u64,
-        received: u64,
-    }
-    impl Protocol for Stream {
-        type Msg = u64;
-        type Output = u64;
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            match ctx.id() {
-                0 => {
-                    if ctx.round() == 0 {
-                        for v in 0..self.n {
-                            ctx.send(1, v);
-                        }
-                    }
-                    Step::Done(0)
-                }
-                _ => {
-                    self.received += ctx.inbox().len() as u64;
-                    if self.received == self.n {
-                        Step::Done(self.received)
-                    } else {
-                        Step::Continue
-                    }
-                }
-            }
-        }
-    }
+    use crate::ctx::Ctx;
+    use crate::engine::testkit::{gossip, streams, CrashAwareGossip, WaitForever};
+    use crate::protocol::Step;
 
     #[test]
     fn bandwidth_dictates_round_count() {
         // 64 values of 64 bits over a 128-bit link: 2 values per round,
         // so 32 transport rounds.
         let cfg = NetConfig::new(2).with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 });
-        let out =
-            run_sync(&cfg, vec![Stream { n: 64, received: 0 }, Stream { n: 64, received: 0 }])
-                .unwrap();
+        let out = run_sync(&cfg, streams(64)).unwrap();
         assert_eq!(out.outputs[1], 64);
         assert_eq!(out.metrics.rounds, 32);
         assert_eq!(out.metrics.messages, 64);
@@ -314,20 +143,8 @@ mod tests {
     #[test]
     fn unlimited_bandwidth_is_one_round() {
         let cfg = NetConfig::new(2).with_bandwidth(BandwidthMode::Unlimited);
-        let out =
-            run_sync(&cfg, vec![Stream { n: 64, received: 0 }, Stream { n: 64, received: 0 }])
-                .unwrap();
+        let out = run_sync(&cfg, streams(64)).unwrap();
         assert_eq!(out.metrics.rounds, 1);
-    }
-
-    /// A deadlocked protocol: everyone waits forever.
-    struct WaitForever;
-    impl Protocol for WaitForever {
-        type Msg = ();
-        type Output = ();
-        fn on_round(&mut self, _ctx: &mut Ctx<'_, ()>) -> Step<()> {
-            Step::Continue
-        }
     }
 
     #[test]
@@ -385,37 +202,11 @@ mod tests {
         assert_eq!(err, EngineError::MaxRounds { limit: 3 });
     }
 
-    /// Everyone broadcasts its id; everyone outputs the sum of what it saw.
-    struct GossipSum {
-        acc: u64,
-        got: usize,
-    }
-    impl Protocol for GossipSum {
-        type Msg = u64;
-        type Output = u64;
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            if ctx.round() == 0 {
-                ctx.broadcast(ctx.id() as u64);
-                return Step::Continue;
-            }
-            for e in ctx.inbox() {
-                self.acc += e.msg;
-                self.got += 1;
-            }
-            if self.got == ctx.k() - 1 {
-                Step::Done(self.acc)
-            } else {
-                Step::Continue
-            }
-        }
-    }
-
     #[test]
     fn all_to_all_broadcast() {
         let k = 8;
         let cfg = NetConfig::new(k);
-        let protos = (0..k).map(|_| GossipSum { acc: 0, got: 0 }).collect();
-        let out = run_sync(&cfg, protos).unwrap();
+        let out = run_sync(&cfg, gossip(k)).unwrap();
         let expected: u64 = (0..k as u64).sum();
         for (i, got) in out.outputs.iter().enumerate() {
             assert_eq!(*got + i as u64, expected, "machine {i}");
@@ -427,9 +218,8 @@ mod tests {
     #[test]
     fn determinism_same_seed_same_everything() {
         let cfg = NetConfig::new(4).with_seed(99);
-        let mk = || (0..4).map(|_| GossipSum { acc: 0, got: 0 }).collect::<Vec<_>>();
-        let a = run_sync(&cfg, mk()).unwrap();
-        let b = run_sync(&cfg, mk()).unwrap();
+        let a = run_sync(&cfg, gossip(4)).unwrap();
+        let b = run_sync(&cfg, gossip(4)).unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.metrics, b.metrics);
     }
@@ -441,8 +231,7 @@ mod tests {
         // Machine 1 crashes before running at all; Stream has no salvage
         // hook, so the run reports the crash even though machine 0 is done.
         let cfg = NetConfig::new(2).with_faults(FaultPlan::default().with_crash(1, 0));
-        let err = run_sync(&cfg, vec![Stream { n: 4, received: 0 }, Stream { n: 4, received: 0 }])
-            .unwrap_err();
+        let err = run_sync(&cfg, streams(4)).unwrap_err();
         assert_eq!(err, EngineError::Crashed { machine: 1, round: 0 });
     }
 
@@ -455,38 +244,6 @@ mod tests {
         let err =
             run_sync(&cfg, vec![PingPong { remaining: 6 }, PingPong { remaining: 6 }]).unwrap_err();
         assert_eq!(err, EngineError::Crashed { machine: 1, round: 1 });
-    }
-
-    /// Gossip that tolerates crashed peers: done once every peer has either
-    /// been heard from or is observably crashed; a crashed machine salvages
-    /// a sentinel output.
-    struct CrashAwareGossip {
-        acc: u64,
-        heard: Vec<bool>,
-    }
-    impl Protocol for CrashAwareGossip {
-        type Msg = u64;
-        type Output = u64;
-        fn on_round(&mut self, ctx: &mut Ctx<'_, u64>) -> Step<u64> {
-            if ctx.round() == 0 {
-                ctx.broadcast(ctx.id() as u64);
-                return Step::Continue;
-            }
-            for e in ctx.inbox() {
-                self.acc += e.msg;
-                self.heard[e.src] = true;
-            }
-            let id = ctx.id();
-            let settled = (0..ctx.k()).all(|p| p == id || self.heard[p] || ctx.crashed(p));
-            if settled {
-                Step::Done(self.acc)
-            } else {
-                Step::Continue
-            }
-        }
-        fn on_crash(&mut self) -> Option<u64> {
-            Some(u64::MAX)
-        }
     }
 
     #[test]
@@ -503,14 +260,13 @@ mod tests {
 
     #[test]
     fn lossy_links_retry_to_the_same_answer() {
-        let mk = || vec![Stream { n: 64, received: 0 }, Stream { n: 64, received: 0 }];
         let clean_cfg =
             NetConfig::new(2).with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 });
-        let clean = run_sync(&clean_cfg, mk()).unwrap();
+        let clean = run_sync(&clean_cfg, streams(64)).unwrap();
         let lossy_cfg = clean_cfg
             .clone()
             .with_faults(FaultPlan::default().with_loss(200, 64).with_fault_seed(5));
-        let lossy = run_sync(&lossy_cfg, mk()).unwrap();
+        let lossy = run_sync(&lossy_cfg, streams(64)).unwrap();
         assert_eq!(lossy.outputs, clean.outputs, "retries must deliver everything");
         assert!(lossy.faults.dropped_messages > 0, "20% loss over 64 messages drops some");
         assert_eq!(
@@ -532,8 +288,7 @@ mod tests {
         let cfg = NetConfig::new(2)
             .with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 })
             .with_adversary(AdversaryPlan::default().with_corrupt_link(0, 1, 1000));
-        let err = run_sync(&cfg, vec![Stream { n: 4, received: 0 }, Stream { n: 4, received: 0 }])
-            .unwrap_err();
+        let err = run_sync(&cfg, streams(4)).unwrap_err();
         assert!(
             matches!(err, EngineError::IntegrityViolation { src: 0, dst: 1, .. }),
             "guaranteed corruption must be detected at delivery: {err:?}"
@@ -546,17 +301,12 @@ mod tests {
         // every delivered message is verified, none violate.
         let cfg =
             NetConfig::new(2).with_adversary(AdversaryPlan::default().with_corrupt_link(0, 1, 0));
-        let out = run_sync(&cfg, vec![Stream { n: 8, received: 0 }, Stream { n: 8, received: 0 }])
-            .unwrap();
+        let out = run_sync(&cfg, streams(8)).unwrap();
         assert_eq!(out.outputs[1], 8);
         assert_eq!(out.audit.digests_verified, 8);
         assert_eq!(out.audit.integrity_violations, 0);
         // An unarmed run reports an empty audit block.
-        let clean = run_sync(
-            &NetConfig::new(2),
-            vec![Stream { n: 8, received: 0 }, Stream { n: 8, received: 0 }],
-        )
-        .unwrap();
+        let clean = run_sync(&NetConfig::new(2), streams(8)).unwrap();
         assert!(!clean.audit.any());
     }
 
@@ -565,8 +315,7 @@ mod tests {
         let cfg = NetConfig::new(2)
             .with_bandwidth(BandwidthMode::Enforce { bits_per_round: 128 })
             .with_faults(FaultPlan::default().with_loss(1000, 2));
-        let err = run_sync(&cfg, vec![Stream { n: 4, received: 0 }, Stream { n: 4, received: 0 }])
-            .unwrap_err();
+        let err = run_sync(&cfg, streams(4)).unwrap_err();
         assert_eq!(err, EngineError::LinkDown { src: 0, dst: 1, round: 1, retries: 2 });
     }
 }

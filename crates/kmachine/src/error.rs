@@ -17,9 +17,10 @@ pub enum EngineError {
         /// The configured limit.
         limit: u64,
     },
-    /// A worker thread of the threaded engine panicked.
+    /// A machine's protocol panicked. Every engine catches the panic and
+    /// fails the run with this, never unwinding into the caller.
     WorkerPanic {
-        /// Machine whose thread panicked.
+        /// Machine whose protocol panicked.
         machine: usize,
     },
     /// Under relaxed delivery, a machine sent a message inside a round it
@@ -134,7 +135,7 @@ impl fmt::Display for EngineError {
                 write!(f, "exceeded the configured round limit ({limit})")
             }
             EngineError::WorkerPanic { machine } => {
-                write!(f, "worker thread for machine {machine} panicked")
+                write!(f, "protocol on machine {machine} panicked")
             }
             EngineError::PromiseViolated { machine, round, promised_until } => {
                 write!(

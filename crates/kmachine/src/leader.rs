@@ -172,7 +172,7 @@ impl Protocol for RandRankFlood {
 mod tests {
     use super::*;
     use crate::config::NetConfig;
-    use crate::engine::{run_sync, run_threaded};
+    use crate::engine::{run_event, run_sync};
 
     #[test]
     fn fixed_leader_is_zero() {
@@ -219,7 +219,11 @@ mod tests {
         let k = 6;
         let cfg = NetConfig::new(k).with_seed(3);
         let a = run_sync(&cfg, (0..k).map(|_| RandRankStar::new()).collect()).unwrap();
-        let b = run_threaded(&cfg, (0..k).map(|_| RandRankStar::new()).collect()).unwrap();
+        let b = run_event(
+            &cfg.clone().with_event_workers(2),
+            (0..k).map(|_| RandRankStar::new()).collect(),
+        )
+        .unwrap();
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.metrics.rounds, b.metrics.rounds);
         assert_eq!(a.metrics.messages, b.metrics.messages);

@@ -54,7 +54,7 @@ impl SkewMetrics {
     }
 
     /// Whether this run tracked skew at all (relaxed event runs do; the
-    /// lockstep engines and exact event runs return an empty struct).
+    /// sync engine and exact event runs return an empty struct).
     pub fn tracked(&self) -> bool {
         !self.max_skew_per_machine.is_empty()
     }

@@ -49,7 +49,7 @@ pub trait Protocol: Send {
     /// transports. Promises are monotone — they can be extended, never
     /// revoked — and a send inside a promised window aborts the run with
     /// [`crate::EngineError::PromiseViolated`]. The default declares
-    /// nothing; the lockstep engines never call this.
+    /// nothing; the sync engine never calls this.
     fn quiet_until(&self) -> Option<u64> {
         None
     }

@@ -6,7 +6,7 @@
 //! replaying the rounds in between from retained per-round inboxes. The
 //! whole mechanism lives in one engine-agnostic protocol wrapper,
 //! [`Recovering`], that each engine entry point applies when the plan is
-//! non-empty — so the sync, threaded, and event engines recover machines
+//! non-empty — so the sync and event engines recover machines
 //! byte-identically *by construction*, and each engine's own footprint
 //! shrinks to plan validation, stall suppression while a rejoin is still
 //! pending, and attaching [`RecoveryMetrics`] to the outcome.

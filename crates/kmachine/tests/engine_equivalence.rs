@@ -1,8 +1,8 @@
-//! Property tests: all three engines are observationally identical for
+//! Property tests: both engines are observationally identical for
 //! deterministic protocols, and the network conserves messages, under
 //! randomized traffic patterns.
 
-use kmachine::engine::{run_event, run_sync, run_threaded};
+use kmachine::engine::{run_event, run_sync};
 use kmachine::{BandwidthMode, Ctx, DeliveryMode, Engine, NetConfig, Payload, Protocol, Step};
 use proptest::prelude::*;
 use rand::RngExt;
@@ -122,7 +122,6 @@ fn scatter_run(
         .collect();
     let out = match engine {
         Engine::Sync => run_sync(&cfg, protos),
-        Engine::Threaded => run_threaded(&cfg, protos),
         _ => run_event(&cfg, protos),
     }
     .expect("scatter run");
@@ -140,7 +139,6 @@ proptest! {
     ) {
         let a = scatter_run(k, seed, bits, max_msgs, Engine::Sync, DeliveryMode::Exact);
         for (engine, delivery) in [
-            (Engine::Threaded, DeliveryMode::Exact),
             (Engine::Event, DeliveryMode::Exact),
             (Engine::Event, DeliveryMode::Relaxed),
         ] {

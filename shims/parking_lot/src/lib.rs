@@ -2,7 +2,7 @@
 //!
 //! A stand-in for `parking_lot` written for this workspace's hermetic (no
 //! crates.io) build environment, backed by `std::sync`. It reproduces the
-//! API property the threaded engine relies on: `lock()` returns the guard
+//! API property the event engine relies on: `lock()` returns the guard
 //! directly (no `Result`), and a mutex poisoned by a panicking thread keeps
 //! working — the engine's panic-containment path locks mutexes *after*
 //! catching a worker panic and must not see poison errors.

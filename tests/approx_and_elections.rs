@@ -13,7 +13,7 @@ fn loaded(k: usize, election: ElectionKind, engine: Engine) -> KnnCluster {
 
 #[test]
 fn approx_superset_on_every_engine() {
-    for engine in [Engine::Sync, Engine::Threaded, Engine::Event] {
+    for engine in [Engine::Sync, Engine::Event] {
         let cluster = loaded(6, ElectionKind::Fixed, engine);
         let q = ScalarPoint(1 << 23);
         let exact = cluster.query(&q, 100).unwrap();

@@ -35,11 +35,15 @@ fn different_seed_same_answer_different_trace() {
     );
 }
 
+/// The event engine on a two-thread pool, so machines genuinely run
+/// concurrently whatever the host's default pool size.
 #[test]
 fn threaded_engine_is_deterministic_despite_scheduling() {
     let q = ScalarPoint(5);
-    let runs: Vec<_> =
-        (0..3).map(|_| cluster_with_seed(7, Engine::Threaded).query(&q, 25).unwrap()).collect();
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(2).build().expect("pool");
+    let runs: Vec<_> = (0..3)
+        .map(|_| pool.install(|| cluster_with_seed(7, Engine::Event).query(&q, 25).unwrap()))
+        .collect();
     for pair in runs.windows(2) {
         assert_eq!(pair[0].neighbors, pair[1].neighbors);
         assert_eq!(pair[0].metrics.rounds, pair[1].metrics.rounds);
