@@ -410,9 +410,12 @@ impl<P: IndexedPoint> KnnCluster<P> {
     /// Routing is a seeded hash of the id, so a cluster built with the same
     /// seed places the same stream of inserts identically on any engine at
     /// any pool size. Under [`IndexBackend::Nsw`] the insert reuses the
-    /// graph's search path (`O(log n)`-ish); the exact backend rebuilds the
-    /// shard's index (correct for any [`IndexedPoint`], but `O(n log n)` —
-    /// choose NSW for insert-heavy workloads).
+    /// graph's search path (`O(log n)`-ish). The exact backend goes through
+    /// [`IndexedPoint::index_insert`]: scalars binary-search the sorted
+    /// array and shift its tail (`O(log n)` compares plus an `O(n)`
+    /// memmove), vectors rebuild the k-d tree (`O(n log n)` — choose NSW
+    /// for insert-heavy vector workloads), bit points have no index to
+    /// update.
     pub fn insert(&mut self, point: P) -> Result<(PointId, MachineId), CoreError> {
         self.insert_labeled(point, None)
     }

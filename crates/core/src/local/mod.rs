@@ -66,10 +66,13 @@ pub fn brute_top<P: Point>(
 
 /// A point type with a per-shard **exact** index for repeated-query serving.
 ///
-/// `build_index` runs per shard at [`crate::cluster::KnnCluster::load`] time
-/// (and again after an insert mutates the shard, via
-/// [`ShardIndex::insert`]); `index_top` answers "this shard's ℓ best
-/// candidates" per query.
+/// `build_index` runs per shard at [`crate::cluster::KnnCluster::load`] time;
+/// `index_insert` absorbs each record a [`ShardIndex::insert`] appends
+/// afterwards; `index_top` answers "this shard's ℓ best candidates" per
+/// query. The default `index_insert` rebuilds, so an implementation only
+/// overrides it when it can update in place: the scalar sorted array does
+/// (a binary search plus a shift of the tail), the vector k-d tree and the
+/// bit-point scan keep the default (a full tree rebuild, and nothing).
 /// The contract is **exact parity with the brute-force scan**: `index_top`
 /// must return precisely the ℓ smallest `(distance, id)` keys the full
 /// [`dist_keys`] scan would yield, in ascending order — the batched and
@@ -85,6 +88,14 @@ pub trait IndexedPoint: Point {
     /// Build the shard's index from the full record set.
     fn build_index(records: &[Record<Self>]) -> Self::Index;
 
+    /// Absorb `records[pos]`, just appended to the shard `index` was built
+    /// over. The result must answer exactly as `build_index(records)` would;
+    /// the default is that rebuild.
+    fn index_insert(index: &mut Self::Index, records: &[Record<Self>], pos: usize) {
+        let _ = pos;
+        *index = Self::build_index(records);
+    }
+
     /// The shard's ℓ best candidates for `query`, ascending by
     /// `(distance, id)` and identical to the brute-force top-ℓ.
     fn index_top(
@@ -99,7 +110,7 @@ pub trait IndexedPoint: Point {
 /// Sorted-array index over the integer line: the 1-d specialization where a
 /// binary search plus two-pointer expansion beats a k-d tree (and stays in
 /// the exact `u64` distance domain, which an `f64` tree would not).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScalarIndex {
     /// `(value, id)` pairs sorted ascending. Duplicate-value correctness in
     /// the expansion below does *not* come from visit order (the leftward
@@ -116,6 +127,14 @@ impl IndexedPoint for ScalarPoint {
         let mut sorted: Vec<(u64, PointId)> = records.iter().map(|r| (r.point.0, r.id)).collect();
         sorted.sort_unstable();
         ScalarIndex { sorted }
+    }
+
+    /// Ids are unique, so the `(value, id)` slot is unique too and the
+    /// array stays byte-identical to a rebuild over the grown shard.
+    fn index_insert(index: &mut ScalarIndex, records: &[Record<Self>], pos: usize) {
+        let entry = (records[pos].point.0, records[pos].id);
+        let at = index.sorted.partition_point(|&e| e < entry);
+        index.sorted.insert(at, entry);
     }
 
     fn index_top(
@@ -328,11 +347,13 @@ impl<P: IndexedPoint> ShardIndex<P> {
 
     /// Absorb the record just appended at `records[pos]` (the shard's new
     /// last element). NSW inserts it through the same search path bulk
-    /// construction uses; the exact index rebuilds — correct for any
-    /// [`IndexedPoint`] implementation without extending that trait.
+    /// construction uses (a graph insert); the exact backend goes through
+    /// [`IndexedPoint::index_insert`]: a binary search plus a shift of the
+    /// tail for scalars, a k-d tree rebuild for vectors, nothing for bit
+    /// points.
     pub fn insert(&mut self, records: &[Record<P>], pos: usize) {
         match self {
-            ShardIndex::Exact(index) => *index = P::build_index(records),
+            ShardIndex::Exact(index) => P::index_insert(index, records, pos),
             ShardIndex::Nsw(index) => index.insert(records, pos),
         }
     }
@@ -374,19 +395,21 @@ mod tests {
         keys
     }
 
+    const ALL_METRICS: [Metric; 6] = [
+        Metric::Euclidean,
+        Metric::SquaredEuclidean,
+        Metric::Manhattan,
+        Metric::Chebyshev,
+        Metric::Minkowski(3.0),
+        Metric::Hamming,
+    ];
+
     #[test]
     fn scalar_index_matches_brute_force_on_all_metrics() {
         let values: Vec<u64> = (0..300u64).map(|i| i.wrapping_mul(48271) % 1000).collect();
         let records = scalar_records(&values, 1);
         let index = ScalarPoint::build_index(&records);
-        for metric in [
-            Metric::Euclidean,
-            Metric::SquaredEuclidean,
-            Metric::Manhattan,
-            Metric::Chebyshev,
-            Metric::Minkowski(3.0),
-            Metric::Hamming,
-        ] {
+        for metric in ALL_METRICS {
             for q in [0u64, 17, 500, 999, 2000] {
                 for ell in [0usize, 1, 7, 300, 500] {
                     let got =
@@ -515,6 +538,43 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_scalar_insert_equals_rebuild(
+            initial in proptest::collection::vec((any::<u64>(), any::<bool>()), 0..40),
+            inserts in proptest::collection::vec((any::<u64>(), any::<bool>()), 1..40),
+            step in 1u64..251,
+            offset in 0u64..251,
+            q in any::<u64>(),
+            ell in 1usize..12,
+        ) {
+            // Half the values fall in 0..16, so duplicates are common; the
+            // rest span all of u64 (saturating squared distances). Ids are
+            // a permutation of 0..251 (251 is prime), so inserted ids land
+            // below, between and above the ids already in the shard.
+            let value = |(v, dense): (u64, bool)| if dense { v % 16 } else { v };
+            let record = |i: usize, v| Record {
+                id: PointId((i as u64 * step + offset) % 251),
+                point: ScalarPoint(value(v)),
+                label: None,
+            };
+            let mut records: Vec<_> = initial.iter().enumerate().map(|(i, &v)| record(i, v)).collect();
+            let mut shard = ShardIndex::build(&records, IndexBackend::Exact, Metric::Euclidean);
+            for &v in &inserts {
+                records.push(record(records.len(), v));
+                shard.insert(&records, records.len() - 1);
+                let ShardIndex::Exact(index) = &shard else { unreachable!() };
+                prop_assert_eq!(index, &ScalarPoint::build_index(&records));
+                for query in [ScalarPoint(q), ScalarPoint(q % 16), records[records.len() - 1].point] {
+                    for metric in ALL_METRICS {
+                        prop_assert_eq!(
+                            shard.top(&records, &query, ell, metric),
+                            oracle(&records, &query, ell, metric)
+                        );
+                    }
+                }
+            }
+        }
+
         #[test]
         fn prop_scalar_index_equals_brute_force(
             values in proptest::collection::vec(any::<u64>(), 0..120),

@@ -449,6 +449,11 @@ pub struct NetConfig {
     /// makes each transport visible to its destinations no earlier than
     /// this long after it was published. Wall clock only: outputs and
     /// metrics are identical at every value.
+    ///
+    /// The delay is a lower bound, not an exact one. Idle event-engine
+    /// workers park on `Condvar::wait_timeout`, whose wakeup granularity
+    /// (~50–100 µs on a typical Linux host) inflates short latencies: `fig2`
+    /// at its default 50 µs measured ~115 µs per round on the event engine.
     pub round_latency: Duration,
     /// Worker threads of the event engine's scheduler (`None`: the ambient
     /// rayon pool size, so `RAYON_NUM_THREADS` and `ThreadPool::install`

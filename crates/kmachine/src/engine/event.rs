@@ -50,7 +50,10 @@
 //!   that old; a [`crate::config::FaultPlan`] straggler likewise waits a
 //!   per-round delay after its own publish. Workers never sleep on a
 //!   machine they hold — a machine waiting out a deadline is released, and
-//!   an idle worker parks until the earliest deadline it saw;
+//!   an idle worker parks until the earliest deadline it saw. The latency
+//!   is therefore a lower bound: the park is a `Condvar::wait_timeout`,
+//!   whose ~50–100 µs wakeup granularity inflates short deadlines (`fig2`
+//!   at 50 µs measured ~115 µs per round);
 //! * machines are cooperatively-scheduled tasks on a small worker pool
 //!   ([`NetConfig::event_workers`], default: the ambient rayon pool size),
 //!   not one OS thread each — and a pool of **one** worker takes the

@@ -439,7 +439,7 @@ fn byzantine_cluster(
 
 /// Byzantine detection, quarantine, and the certified answer are engine-
 /// and pool-invariant: the same lie is fabricated, caught, and recovered
-/// from identically on sync, threaded, and event (exact *and* relaxed
+/// from identically on sync and event (exact *and* relaxed
 /// delivery), at every pool size — audits, violations, and quarantine
 /// counts included.
 #[test]

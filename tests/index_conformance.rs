@@ -21,10 +21,10 @@ use kmachine::Engine;
 use knn_core::cluster::KnnCluster;
 use knn_core::local::{brute_top, dist_keys, recall};
 use knn_core::runner::Algorithm;
-use knn_core::{IndexBackend, NswIndex, NswParams, ShardIndex};
+use knn_core::{CoreError, IndexBackend, NswIndex, NswParams, ShardIndex};
 use knn_points::{BitsPoint, Dataset, DistKey, IdAssigner, Metric, Record, ScalarPoint, VecPoint};
 use knn_workloads::vector::uniform_cube;
-use knn_workloads::{GaussianMixture, PartitionStrategy};
+use knn_workloads::{GaussianMixture, PartitionStrategy, ScalarWorkload};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 
@@ -121,7 +121,7 @@ fn saturated_nsw_cluster_equals_the_exact_backend_end_to_end() {
 /// **Insert-as-query equivalence.** A cluster bulk-loaded with P and a
 /// cluster loaded empty then fed every record of P through
 /// `insert_record_into` serve byte-identical batches — answers and
-/// per-batch costs — across all three engines and RAYON pool sizes
+/// per-batch costs — across both engines and RAYON pool sizes
 /// {1, 2, 8}, on both backends.
 #[test]
 fn bulk_load_equals_empty_then_insert_across_engines_and_pools() {
@@ -155,6 +155,61 @@ fn bulk_load_equals_empty_then_insert_across_engines_and_pools() {
                 for (b, w) in bulk.answers.iter().zip(&want.answers) {
                     assert_eq!(b.neighbors, w.neighbors, "engine/pool variance: {label}");
                 }
+            }
+        }
+    }
+}
+
+/// The scalar twin of the insert-as-query equivalence, on the exact backend
+/// whose sorted array absorbs each insert in place rather than rebuilding:
+/// bulk load and empty-then-`insert_record_into` serve byte-identical
+/// answers and costs on both engines at pool sizes {1, 2, 8}. Values come
+/// from a 64-wide range, so duplicates are dense, and every shard is fed in
+/// descending id order, so each insert lands below every id already there.
+#[test]
+fn scalar_exact_bulk_load_equals_empty_then_insert() {
+    let (k, ell, seed) = (3usize, 9usize, 17u64);
+    let workload = ScalarWorkload { per_machine: 200, lo: 0, hi: 64 };
+    let mut shards = workload.generate(k, seed);
+    for shard in &mut shards {
+        shard.records.reverse();
+    }
+    let queries: Vec<ScalarPoint> = [0u64, 7, 31, 63, 90].map(ScalarPoint).to_vec();
+    let cluster = |shards: Vec<Dataset<ScalarPoint>>, engine: Engine| {
+        let mut cluster: KnnCluster<ScalarPoint> =
+            KnnCluster::builder().machines(k).seed(seed).engine(engine).build();
+        cluster.load_shards(shards).expect("shard count");
+        cluster
+    };
+    let mut reference: Option<knn_core::cluster::BatchAnswer> = None;
+    for engine in [Engine::Sync, Engine::Event] {
+        for pool in [1usize, 2, 8] {
+            let (bulk, grown) = with_pool(pool, || {
+                let bulk = cluster(shards.clone(), engine);
+                let mut grown = cluster(vec![Dataset::new(Vec::new()); k], engine);
+                for (m, shard) in shards.iter().enumerate() {
+                    for record in &shard.records {
+                        grown.insert_record_into(m, record.clone()).expect("insert");
+                    }
+                }
+                let repeat = shards[1].records[0].clone();
+                assert_eq!(
+                    grown.insert_record_into(2, repeat.clone()).unwrap_err(),
+                    CoreError::DuplicateId { id: repeat.id }
+                );
+                let bulk = bulk.query_batch(&queries, ell).expect("bulk batch");
+                let grown = grown.query_batch(&queries, ell).expect("grown batch");
+                (bulk, grown)
+            });
+            let label = format!("{engine:?}/pool {pool}");
+            assert_eq!(bulk.metrics, grown.metrics, "costs diverged: {label}");
+            for (b, g) in bulk.answers.iter().zip(&grown.answers) {
+                assert_eq!(b.neighbors, g.neighbors, "answers diverged: {label}");
+            }
+            let want = reference.get_or_insert(bulk.clone());
+            assert_eq!(bulk.metrics, want.metrics, "engine/pool variance: {label}");
+            for (b, w) in bulk.answers.iter().zip(&want.answers) {
+                assert_eq!(b.neighbors, w.neighbors, "engine/pool variance: {label}");
             }
         }
     }

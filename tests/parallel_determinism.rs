@@ -57,8 +57,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The full serving pipeline — parallel generation, parallel index
-    /// build, mux'd batch run — is bit-identical across pool sizes on all
-    /// three engines.
+    /// build, mux'd batch run — is bit-identical across pool sizes on both
+    /// engines.
     #[test]
     fn prop_pipeline_identical_across_pool_sizes(
         seed in 0u64..1000,
@@ -175,9 +175,9 @@ fn mux_run(engine: kmachine::Engine, seed: u64) -> RunOutcome<MuxOutput<u64>> {
 }
 
 /// Raw engine-level `RunOutcome` (outputs + metrics) is bit-identical
-/// across pool sizes on all three engines, including per-tag attribution.
+/// across pool sizes on both engines, including per-tag attribution.
 /// For the event engine the pool size additionally sizes its scheduler's
-/// worker pool, so this is the 3-engine × pool {1, 2, 8} matrix of the
+/// worker pool, so this is the 2-engine × pool {1, 2, 8} matrix of the
 /// barrier-removal contract.
 #[test]
 fn mux_run_outcome_identical_across_pool_sizes() {
